@@ -2,10 +2,13 @@
 
 Tensors wrap flat row-major numpy arrays (rank <= 4). Every differentiable
 operation records its parents and a backward closure; calling ``backward`` on
-a scalar loss walks the graph once in reverse topological order and
-accumulates gradients additively across fan-out.
+a scalar loss walks the graph once in reverse topological order, accumulates
+gradients additively across fan-out, and then unlinks the graph it ran.
+Inside ``with no_grad():`` operations record nothing, for inference.
 """
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -14,6 +17,20 @@ from .errors import ConfigError, MaskError, NumericError, ShapeError, UsageError
 MAX_RANK = 4
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Within the block, op outputs do not require grad and record no graph."""
+    global _grad_enabled
+    saved = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
 
 
 def _require_finite(name, arr):
@@ -24,9 +41,10 @@ def _require_finite(name, arr):
 class Tensor:
     """Dense float array participating in a reverse-mode graph."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn",
+                 "__weakref__")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward_fn=None):
+    def __init__(self, data, requires_grad=False, parents=()):
         arr = np.asarray(data)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float64)
@@ -36,7 +54,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self._parents = tuple(parents)
-        self._backward_fn = backward_fn
+        self._backward_fn = None
 
     @property
     def shape(self):
@@ -97,10 +115,18 @@ def as_tensor(x, dtype=None):
     return Tensor(arr)
 
 
-def _make(data, parents, backward_fn):
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, parents=parents, backward_fn=backward_fn)
+def _make(data, parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        return Tensor(data, requires_grad=True, parents=parents)
     return Tensor(data)
+
+
+def _link(out, backward_fn):
+    """Attach the closure only where backward will run it: the closure refers
+    to out, so attaching it makes a cycle that backward breaks again."""
+    if out.requires_grad:
+        out._backward_fn = backward_fn
+    return out
 
 
 def _acc(t, g):
@@ -126,7 +152,7 @@ def matmul(a, b):
     if a.ndim == 3 and b.ndim == 3 and a.shape[0] != b.shape[0]:
         raise ShapeError(f"matmul batch dimensions differ: {a.shape} @ {b.shape}")
     out_data = np.matmul(a.data, b.data)
-    out = _make(out_data, (a, b), None)
+    out = _make(out_data, (a, b))
 
     def backward_fn():
         g = out.grad
@@ -139,8 +165,7 @@ def matmul(a, b):
         _acc(a, ga)
         _acc(b, gb)
 
-    out._backward_fn = backward_fn
-    return out
+    return _link(out, backward_fn)
 
 
 def add(a, b):
@@ -153,7 +178,7 @@ def add(a, b):
             raise ShapeError(f"bias length {b.shape[0]} vs last axis {a.shape[-1]}")
     elif a.shape != b.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
-    out = _make(a.data + b.data, (a, b), None)
+    out = _make(a.data + b.data, (a, b))
 
     def backward_fn():
         g = out.grad
@@ -163,8 +188,7 @@ def add(a, b):
         else:
             _acc(b, g)
 
-    out._backward_fn = backward_fn
-    return out
+    return _link(out, backward_fn)
 
 
 def mul(a, b):
@@ -173,14 +197,13 @@ def mul(a, b):
     _require_finite("mul rhs", b.data)
     if a.shape != b.shape:
         raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
-    out = _make(a.data * b.data, (a, b), None)
+    out = _make(a.data * b.data, (a, b))
 
     def backward_fn():
         _acc(a, out.grad * b.data)
         _acc(b, out.grad * a.data)
 
-    out._backward_fn = backward_fn
-    return out
+    return _link(out, backward_fn)
 
 
 def scalar_mul(a, c):
@@ -188,16 +211,14 @@ def scalar_mul(a, c):
     c = float(c)
     if not np.isfinite(c):
         raise NumericError("non-finite scalar multiplier")
-    out = _make(a.data * c, (a,), None)
-    out._backward_fn = lambda: _acc(a, out.grad * c)
-    return out
+    out = _make(a.data * c, (a,))
+    return _link(out, lambda: _acc(a, out.grad * c))
 
 
 def relu(a):
     _require_finite("relu input", a.data)
-    out = _make(np.maximum(a.data, 0), (a,), None)
-    out._backward_fn = lambda: _acc(a, out.grad * (a.data > 0))
-    return out
+    out = _make(np.maximum(a.data, 0), (a,))
+    return _link(out, lambda: _acc(a, out.grad * (a.data > 0)))
 
 
 def sigmoid(a):
@@ -206,18 +227,16 @@ def sigmoid(a):
     # inside (0, 1) even where tanh saturates
     fi = np.finfo(a.data.dtype)
     s = np.clip(0.5 * (1.0 + np.tanh(0.5 * a.data)), fi.tiny, 1.0 - fi.epsneg)
-    out = _make(s, (a,), None)
-    out._backward_fn = lambda: _acc(a, out.grad * s * (1.0 - s))
-    return out
+    out = _make(s, (a,))
+    return _link(out, lambda: _acc(a, out.grad * s * (1.0 - s)))
 
 
 def transpose(a):
     """Swap the last two axes."""
     if a.ndim < 2:
         raise ShapeError("transpose requires rank >= 2")
-    out = _make(np.swapaxes(a.data, -1, -2), (a,), None)
-    out._backward_fn = lambda: _acc(a, np.swapaxes(out.grad, -1, -2))
-    return out
+    out = _make(np.swapaxes(a.data, -1, -2), (a,))
+    return _link(out, lambda: _acc(a, np.swapaxes(out.grad, -1, -2)))
 
 
 def concat_last(tensors):
@@ -228,7 +247,7 @@ def concat_last(tensors):
         _require_finite("concat input", t.data)
         if t.shape[:-1] != lead:
             raise ShapeError(f"concat leading shapes differ: {t.shape[:-1]} vs {lead}")
-    out = _make(np.concatenate([t.data for t in tensors], axis=-1), tuple(tensors), None)
+    out = _make(np.concatenate([t.data for t in tensors], axis=-1), tuple(tensors))
 
     def backward_fn():
         offset = 0
@@ -237,15 +256,14 @@ def concat_last(tensors):
             _acc(t, out.grad[..., offset:offset + w])
             offset += w
 
-    out._backward_fn = backward_fn
-    return out
+    return _link(out, backward_fn)
 
 
 def mean(a, axis=None):
     """Mean reduction over all elements (axis=None) or over the given axes."""
     _require_finite("mean input", a.data)
     out_data = a.data.mean(axis=axis)
-    out = _make(np.asarray(out_data), (a,), None)
+    out = _make(np.asarray(out_data), (a,))
     count = a.size if axis is None else np.prod(
         [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
 
@@ -255,27 +273,24 @@ def mean(a, axis=None):
             g = np.expand_dims(g, axis=axis)
         _acc(a, np.broadcast_to(g, a.shape) / count)
 
-    out._backward_fn = backward_fn
-    return out
+    return _link(out, backward_fn)
 
 
 def reshape(a, shape):
-    out = _make(a.data.reshape(shape), (a,), None)
-    out._backward_fn = lambda: _acc(a, out.grad.reshape(a.shape))
-    return out
+    out = _make(a.data.reshape(shape), (a,))
+    return _link(out, lambda: _acc(a, out.grad.reshape(a.shape)))
 
 
 def index(a, key):
     """Basic slicing; gradient scatters back into the sliced positions."""
-    out = _make(a.data[key], (a,), None)
+    out = _make(a.data[key], (a,))
 
     def backward_fn():
         g = np.zeros_like(a.data)
         np.add.at(g, key, out.grad)
         _acc(a, g)
 
-    out._backward_fn = backward_fn
-    return out
+    return _link(out, backward_fn)
 
 
 def scale_channels(a, s):
@@ -283,14 +298,13 @@ def scale_channels(a, s):
     if s.ndim != 1 or s.shape[0] != a.shape[0]:
         raise ShapeError(f"channel scale length {s.shape} vs channels {a.shape[0]}")
     factor = s.data.reshape((-1,) + (1,) * (a.ndim - 1))
-    out = _make(a.data * factor, (a, s), None)
+    out = _make(a.data * factor, (a, s))
 
     def backward_fn():
         _acc(a, out.grad * factor)
         _acc(s, (out.grad * a.data).reshape(a.shape[0], -1).sum(axis=1))
 
-    out._backward_fn = backward_fn
-    return out
+    return _link(out, backward_fn)
 
 
 def softmax(a, axis=-1):
@@ -299,15 +313,14 @@ def softmax(a, axis=-1):
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-    out = _make(s, (a,), None)
+    out = _make(s, (a,))
 
     def backward_fn():
         g = out.grad
         dot = (g * s).sum(axis=axis, keepdims=True)
         _acc(a, s * (g - dot))
 
-    out._backward_fn = backward_fn
-    return out
+    return _link(out, backward_fn)
 
 
 def layer_norm(x, gain, bias, epsilon=1e-5):
@@ -323,7 +336,7 @@ def layer_norm(x, gain, bias, epsilon=1e-5):
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + epsilon)
     xhat = (x.data - mu) * inv
-    out = _make(xhat * gain.data + bias.data, (x, gain, bias), None)
+    out = _make(xhat * gain.data + bias.data, (x, gain, bias))
 
     def backward_fn():
         g = out.grad
@@ -334,8 +347,7 @@ def layer_norm(x, gain, bias, epsilon=1e-5):
         _acc(gain, (g * xhat).reshape(-1, d).sum(axis=0))
         _acc(bias, g.reshape(-1, d).sum(axis=0))
 
-    out._backward_fn = backward_fn
-    return out
+    return _link(out, backward_fn)
 
 
 class CounterRng:
@@ -355,20 +367,20 @@ class CounterRng:
 
 
 def dropout(x, rate, training, rng=None):
-    """Inverted dropout: zero with probability rate, scale survivors by 1/(1-rate)."""
+    """Inverted dropout: zero with probability rate, scale survivors by 1/(1-rate).
+
+    In inference mode or at rate 0 it is the identity and returns x itself.
+    """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate {rate} outside [0, 1)")
     if not training or rate == 0.0:
-        out = _make(x.data.copy(), (x,), None)
-        out._backward_fn = lambda: _acc(x, out.grad)
-        return out
+        return x
     if rng is None:
         raise UsageError("training-mode dropout requires a seeded generator")
     keep = (rng.uniform(x.shape) >= rate).astype(x.data.dtype)
     factor = keep / (1.0 - rate)
-    out = _make(x.data * factor, (x,), None)
-    out._backward_fn = lambda: _acc(x, out.grad * factor)
-    return out
+    out = _make(x.data * factor, (x,))
+    return _link(out, lambda: _acc(x, out.grad * factor))
 
 
 _PRIMITIVES = {
@@ -420,6 +432,8 @@ def backward(loss):
     for node in reversed(topo):
         if node._backward_fn is not None:
             node._backward_fn()
+            node._backward_fn = None
+            node._parents = ()
 
 
 def finite_difference_check(f, x, step=1e-3, sample=None, rng=None):
@@ -445,10 +459,11 @@ def finite_difference_check(f, x, step=1e-3, sample=None, rng=None):
     aflat = analytic.reshape(-1)
     for i in idxs:
         orig = flat[i]
-        flat[i] = orig + step
-        hi = f(x).item()
-        flat[i] = orig - step
-        lo = f(x).item()
+        with no_grad():
+            flat[i] = orig + step
+            hi = f(x).item()
+            flat[i] = orig - step
+            lo = f(x).item()
         flat[i] = orig
         numeric = (hi - lo) / (2.0 * step)
         denom = max(1.0, abs(aflat[i]), abs(numeric))

@@ -95,12 +95,20 @@ def multi_head_attention(x_q, x_kv, weights, config, mask=None):
     if x_q.shape[-1] != config.model_dim or x_kv.shape[-1] != config.model_dim:
         raise ShapeError(
             f"inputs must have feature dim {config.model_dim}: {x_q.shape}, {x_kv.shape}")
-    heads = []
-    for i in range(config.num_heads):
-        q = ad.matmul(x_q, weights.w_q[i])
-        k = ad.matmul(x_kv, weights.w_k[i])
-        v = ad.matmul(x_kv, weights.w_v[i])
-        heads.append(scaled_dot_attention(q, k, v, mask=mask))
+    return attend_heads(project_heads(x_q, weights.w_q), project_heads(x_kv, weights.w_k),
+                        project_heads(x_kv, weights.w_v), weights, mask=mask)
+
+
+def project_heads(x, head_weights):
+    """x projected by each head's D x d_k matrix: a list of h tensors."""
+    return [ad.matmul(x, w) for w in head_weights]
+
+
+def attend_heads(queries, keys, values, weights, mask=None):
+    """Scaled dot-product attention per head, concatenated and reprojected by
+    w_o. Keys and values may come from a cache of earlier projections."""
+    heads = [scaled_dot_attention(q, k, v, mask=mask)
+             for q, k, v in zip(queries, keys, values)]
     return ad.matmul(ad.concat_last(heads), weights.w_o)
 
 

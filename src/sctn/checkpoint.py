@@ -152,7 +152,7 @@ def load_segment_cache(path):
 
 _CONFIG_FIELDS = ("n_agents", "t_obs", "t_pred", "model_dim", "heads", "layers",
                   "ffn_dim", "dropout", "se_reduction", "se_enabled",
-                  "se_on_decoder", "embed_hidden", "predict_offsets", "seed", "dtype")
+                  "embed_hidden", "predict_offsets", "seed", "dtype")
 
 
 def save_model_checkpoint(path, weights):
@@ -174,8 +174,12 @@ def load_model_checkpoint(path):
             for line in fh:
                 key, _, value = line.partition("=")
                 key, value = key.strip(), value.strip()
-                if key in ("se_enabled", "se_on_decoder", "embed_hidden",
-                           "predict_offsets"):
+                if key == "se_on_decoder":
+                    # the decoder SE block was removed; its tensors would be dropped
+                    if value == "True":
+                        raise DataError(f"{path}.config: se_on_decoder = True is no "
+                                        "longer supported")
+                elif key in ("se_enabled", "embed_hidden", "predict_offsets"):
                     kwargs[key] = value == "True"
                 elif key == "dtype":
                     kwargs[key] = value

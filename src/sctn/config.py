@@ -21,7 +21,6 @@ SCHEMA = {
     "dropout": (float, -1.0),     # < 0 -> from profile
     "se_reduction": (int, 2),
     "se_enabled": (bool, True),
-    "se_on_decoder": (bool, False),
     "embed_hidden": (bool, False),
     "predict_offsets": (bool, False),
     "dtype": (str, "float32"),
@@ -113,7 +112,7 @@ def model_config_from(cfg, **extra):
         model_dim=cfg["model_dim"], heads=cfg["heads"], layers=cfg["layers"],
         ffn_dim=cfg["ffn_dim"], dropout=cfg["dropout"],
         se_reduction=cfg["se_reduction"], se_enabled=cfg["se_enabled"],
-        se_on_decoder=cfg["se_on_decoder"], embed_hidden=cfg["embed_hidden"],
+        embed_hidden=cfg["embed_hidden"],
         predict_offsets=cfg["predict_offsets"], seed=cfg["seed"], dtype=cfg["dtype"])
     kwargs.update(extra)
     return ModelConfig(**kwargs)

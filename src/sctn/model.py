@@ -5,6 +5,14 @@ Temporal attention runs inside each agent channel; interaction between
 agents flows only through the squeeze-and-excitation block applied to the
 embedded scene. The decoder cross-attends to the encoder latent of its own
 agent channel and is seeded with the agent's last observed position.
+
+Training runs the decoder once over the whole shifted-right future
+(``teacher_forced_forward``). ``predict`` decodes incrementally without a
+gradient graph: a ``DecoderCache`` keeps each layer's self-attention keys and
+values of the positions decoded so far, and the cross-attention keys and
+values of the encoder latent, so each step runs the stack on the new
+position only. The causal mask makes this exact; the parallel pass is the
+test oracle.
 """
 from __future__ import annotations
 
@@ -31,7 +39,6 @@ class ModelConfig:
     dropout: float = 0.1
     se_reduction: int = 2
     se_enabled: bool = True
-    se_on_decoder: bool = False
     embed_hidden: bool = False
     predict_offsets: bool = False
     seed: int = 0
@@ -186,8 +193,6 @@ class ModelWeights:
                 mlp_w=self._param("embed/w", (2, d), fan_in=2),
                 mlp_b=self._param("embed/b", (d,)))
         self.se_enc = self._se("se_enc") if cfg.se_enabled else None
-        self.se_dec = (self._se("se_dec")
-                       if cfg.se_enabled and cfg.se_on_decoder else None)
         self.encoder = []
         for l in range(cfg.layers):
             self.encoder.append(dict(
@@ -282,8 +287,6 @@ def _decode_sequence(dec_points, z, scene, weights, config, training=False, rng=
     acfg = config.attention_config()
     t = dec_points.shape[1]
     x = _embed(dec_points, weights, start_t=config.t_obs)
-    if weights.se_dec is not None:
-        x = se.se_pass(x, weights.se_dec, channel_mask=scene.channel_mask)
     mask = blocks.causal_mask(t)
     for layer in weights.decoder:
         attn = blocks.multi_head_attention(x, x, layer["self_attn"], acfg, mask=mask)
@@ -292,6 +295,10 @@ def _decode_sequence(dec_points, z, scene, weights, config, training=False, rng=
         x = _sublayer(x, cross, layer["cross_norm"], config, training, rng)
         x = _sublayer(x, blocks.feed_forward(x, layer["ffn"]),
                       layer["ffn_norm"], config, training, rng)
+    return _output_head(x, dec_points, weights, config)
+
+
+def _output_head(x, dec_points, weights, config):
     out = ad.add(ad.matmul(x, weights.out_w), weights.out_b)
     if config.predict_offsets:
         # offset head: step t produces a displacement added to its input point
@@ -299,25 +306,92 @@ def _decode_sequence(dec_points, z, scene, weights, config, training=False, rng=
     return out
 
 
-def decode_step(partial_outputs, z, scene, weights, config):
-    """Next point for every agent given t already-decoded inputs: N x 1 x 2."""
-    t = np.asarray(partial_outputs).shape[1]
+class DecoderCache:
+    """Decoder keys and values of one rollout, per layer and head.
+
+    The self-attention keys and values of the decoded positions fill
+    N x T_pred x d_k buffers; the cross-attention ones are projected from the
+    encoder latent z once. Built and used without a gradient graph.
+    """
+
+    def __init__(self, z, weights, config):
+        shape = (z.shape[0], config.t_pred, config.model_dim // config.heads)
+        with ad.no_grad():
+            self.cross = [(blocks.project_heads(z, layer["cross"].w_k),
+                           blocks.project_heads(z, layer["cross"].w_v))
+                          for layer in weights.decoder]
+        self.keys = [[np.empty(shape, config.np_dtype) for _ in range(config.heads)]
+                     for _ in weights.decoder]
+        self.values = [[np.empty(shape, config.np_dtype) for _ in range(config.heads)]
+                       for _ in weights.decoder]
+        self.points = np.empty((shape[0], 0, 2))
+
+    @property
+    def length(self):
+        return self.points.shape[1]
+
+
+def _decode_cached(points, weights, config, cache):
+    """Decoder outputs for the positions of points beyond those in cache."""
+    start, t = cache.length, points.shape[1]
+    if t <= start or not np.array_equal(points[:, :start], cache.points):
+        raise UsageError(
+            f"decode input of {t} positions does not extend the {start} cached ones")
+    new = points[:, start:]
+    x = _embed(new, weights, start_t=config.t_obs + start)
+    # a single new position may attend to every cached one
+    mask = blocks.causal_mask(t)[start:] if t - start > 1 else None
+    for layer, keys, values, (cross_k, cross_v) in zip(
+            weights.decoder, cache.keys, cache.values, cache.cross):
+        self_w, cross_w = layer["self_attn"], layer["cross"]
+        for buf, k in zip(keys, blocks.project_heads(x, self_w.w_k)):
+            buf[:, start:t] = k.data
+        for buf, v in zip(values, blocks.project_heads(x, self_w.w_v)):
+            buf[:, start:t] = v.data
+        attn = blocks.attend_heads(blocks.project_heads(x, self_w.w_q),
+                                   [Tensor(buf[:, :t]) for buf in keys],
+                                   [Tensor(buf[:, :t]) for buf in values],
+                                   self_w, mask=mask)
+        x = _sublayer(x, attn, layer["self_norm"], config, False, None)
+        cross = blocks.attend_heads(blocks.project_heads(x, cross_w.w_q),
+                                    cross_k, cross_v, cross_w)
+        x = _sublayer(x, cross, layer["cross_norm"], config, False, None)
+        x = _sublayer(x, blocks.feed_forward(x, layer["ffn"]),
+                      layer["ffn_norm"], config, False, None)
+    cache.points = points.copy()
+    return _output_head(x, new, weights, config)
+
+
+def decode_step(partial_outputs, z, scene, weights, config, cache=None):
+    """Next point for every agent given t already-decoded inputs: N x 1 x 2.
+
+    Runs the decoder on the positions not yet in cache (a DecoderCache for z,
+    filled by earlier calls on a prefix of partial_outputs) and adds them to
+    it; without a cache it starts a fresh one. Builds no gradient graph.
+    """
+    partial_outputs = np.asarray(partial_outputs)
+    t = partial_outputs.shape[1]
     if not 1 <= t <= config.t_pred:
         raise UsageError(f"decode step {t} outside 1..{config.t_pred}")
-    out = _decode_sequence(np.asarray(partial_outputs), z, scene, weights, config)
+    with ad.no_grad():
+        if cache is None:
+            cache = DecoderCache(z, weights, config)
+        out = _decode_cached(partial_outputs, weights, config, cache)
     return out.data[:, -1:, :]
 
 
 def predict(scene, weights, config):
-    """Autoregressive rollout: encode once, then T_pred decode steps."""
-    z = encode(scene, weights, config, training=False)
-    seed = scene.observed(config.t_obs)[:, -1:, :].astype(config.np_dtype)
-    buf = seed
-    outputs = []
-    for _ in range(config.t_pred):
-        nxt = decode_step(buf, z, scene, weights, config)
-        outputs.append(nxt)
-        buf = np.concatenate([buf, nxt], axis=1)
+    """Autoregressive rollout: encode once, then T_pred cached decode steps,
+    all without a gradient graph."""
+    with ad.no_grad():
+        z = encode(scene, weights, config, training=False)
+        cache = DecoderCache(z, weights, config)
+        buf = scene.observed(config.t_obs)[:, -1:, :].astype(config.np_dtype)
+        outputs = []
+        for _ in range(config.t_pred):
+            nxt = decode_step(buf, z, scene, weights, config, cache)
+            outputs.append(nxt)
+            buf = np.concatenate([buf, nxt], axis=1)
     return np.concatenate(outputs, axis=1)
 
 

@@ -86,9 +86,11 @@ def _segment_loss(sample, weights, config, training, rng):
 
 
 def evaluate_loss(samples, weights, config):
+    """Mean inference-mode loss over samples, computed without a gradient graph."""
     total = 0.0
-    for sample in samples:
-        total += _segment_loss(sample, weights, config, False, None).item()
+    with ad.no_grad():
+        for sample in samples:
+            total += _segment_loss(sample, weights, config, False, None).item()
     return total / len(samples) if samples else float("nan")
 
 

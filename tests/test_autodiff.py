@@ -109,6 +109,36 @@ class TestDropout:
             np.testing.assert_array_equal(a.uniform((5,)), b.uniform((5,)))
 
 
+class TestNoGrad:
+    def test_outputs_record_no_graph(self):
+        w = t([1.0, -2.0], grad=True)
+        with ad.no_grad():
+            out = ad.relu(w * 2.0)
+        assert not out.requires_grad
+        assert out._backward_fn is None and out._parents == ()
+        assert (w * 2.0).requires_grad
+
+    def test_nests(self):
+        w = t([1.0], grad=True)
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            assert not (w * 2.0).requires_grad
+        assert (w * 2.0).requires_grad
+
+    def test_restored_after_exception(self):
+        w = t([1.0], grad=True)
+        with pytest.raises(NumericError):
+            with ad.no_grad():
+                ad.relu(t([np.nan]))
+        assert (w * 2.0).requires_grad
+
+    def test_dropout_identity_is_no_node(self):
+        x = t([1.0, 2.0], grad=True)
+        assert ad.dropout(x, 0.1, False) is x
+        assert ad.dropout(x, 0.0, True, CounterRng(0)) is x
+
+
 class TestLayerNorm:
     def test_constant_vector_returns_bias(self):
         gain, bias = t(np.ones(4)), t(np.zeros(4))

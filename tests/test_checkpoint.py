@@ -92,6 +92,21 @@ class TestModelCheckpoint:
         with pytest.raises(DataError, match="sidecar"):
             checkpoint.load_model_checkpoint(path)
 
+    @pytest.mark.parametrize("value", ["False", "True"])
+    def test_sidecar_with_decoder_se_key(self, tmp_path, value):
+        # sidecars written before the decoder SE block was removed
+        cfg = ModelConfig(**TOY_DIMS)
+        path = tmp_path / "model.sctn"
+        checkpoint.save_model_checkpoint(path, ModelWeights(cfg))
+        sidecar = tmp_path / "model.sctn.config"
+        sidecar.write_text(sidecar.read_text().replace(
+            "embed_hidden", f"se_on_decoder = {value}\nembed_hidden"))
+        if value == "False":
+            assert checkpoint.load_model_checkpoint(path).config == cfg
+        else:
+            with pytest.raises(DataError, match="se_on_decoder"):
+                checkpoint.load_model_checkpoint(path)
+
 
 class TestSegmentCache:
     def make_split(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sctn import autodiff as ad
 from sctn import data as data_mod
 from sctn import model, optim
 from sctn.autodiff import finite_difference_check
@@ -22,6 +23,26 @@ def toy_scene(cfg, seed=1, kind="linear"):
     window = cfg.t_obs + cfg.t_pred
     return Scene(positions=sample.scene.positions[:, :window],
                  channel_mask=sample.scene.channel_mask, target_index=0)
+
+
+def padded_scene(cfg, kind, seed=1, n_real=2):
+    """A synthetic scene whose channels from n_real on are zero padding."""
+    sample = data_mod.synthesize_scenes(1, kind, seed=seed, n_agents=n_real)[0]
+    window = cfg.t_obs + cfg.t_pred
+    positions = np.zeros((cfg.n_agents, window, 2))
+    positions[:n_real] = sample.scene.positions[:, :window]
+    return Scene(positions=positions, channel_mask=np.arange(cfg.n_agents) < n_real)
+
+
+def recompute_rollout(scene, weights, cfg):
+    """The rollout with the parallel decoder pass run over the whole prefix at
+    every step: the oracle for the cached rollout of predict."""
+    z = model.encode(scene, weights, cfg)
+    buf = scene.observed(cfg.t_obs)[:, -1:, :].astype(cfg.np_dtype)
+    for _ in range(cfg.t_pred):
+        nxt = model._decode_sequence(buf, z, scene, weights, cfg).data[:, -1:]
+        buf = np.concatenate([buf, nxt], axis=1)
+    return buf[:, 1:]
 
 
 class TestConfig:
@@ -122,6 +143,68 @@ class TestPredict:
         forced = model.teacher_forced_forward(forced_scene, weights, cfg,
                                               training=False)
         np.testing.assert_allclose(forced.data, pred, atol=1e-5)
+
+
+class TestCachedRollout:
+    @pytest.mark.parametrize("dtype, tol", [("float64", 1e-12), ("float32", 1e-5)])
+    @pytest.mark.parametrize("kind", ["linear", "turn", "interaction"])
+    @pytest.mark.parametrize("variant", [
+        dict(layers=1),
+        dict(layers=2, dropout=0.1),
+        dict(layers=1, predict_offsets=True),
+        dict(layers=2, embed_hidden=True),
+    ], ids=["L1", "L2-dropout", "L1-offsets", "L2-embed-hidden"])
+    def test_matches_recompute(self, dtype, tol, kind, variant):
+        cfg, weights = toy_setup(n_agents=4, t_pred=8, dtype=dtype, **variant)
+        scene = padded_scene(cfg, kind)
+        np.testing.assert_allclose(model.predict(scene, weights, cfg),
+                                   recompute_rollout(scene, weights, cfg),
+                                   rtol=0, atol=tol)
+
+    def test_decode_step_extends_cache_exactly(self):
+        cfg, weights = toy_setup(n_agents=4, t_pred=6, layers=2)
+        scene = padded_scene(cfg, "turn")
+        z = model.encode(scene, weights, cfg)
+        points = np.concatenate([scene.observed(cfg.t_obs)[:, -1:],
+                                 scene.future(cfg.t_obs)[:, :5]], axis=1)
+        oracle = model._decode_sequence(points, z, scene, weights, cfg).data[:, -1:]
+        fresh = model.decode_step(points, z, scene, weights, cfg)
+        np.testing.assert_allclose(fresh, oracle, rtol=0, atol=1e-12)
+        cache = model.DecoderCache(z, weights, cfg)
+        model.decode_step(points[:, :2], z, scene, weights, cfg, cache)
+        # four new positions in one call attend under the causal mask
+        extended = model.decode_step(points, z, scene, weights, cfg, cache)
+        np.testing.assert_allclose(extended, oracle, rtol=0, atol=1e-12)
+        assert cache.length == 6
+
+    def test_prefix_must_extend_cache(self):
+        cfg, weights = toy_setup(t_pred=4)
+        scene = toy_scene(cfg)
+        z = model.encode(scene, weights, cfg)
+        points = np.concatenate([scene.observed(cfg.t_obs)[:, -1:],
+                                 scene.future(cfg.t_obs)[:, :2]], axis=1)
+        cache = model.DecoderCache(z, weights, cfg)
+        model.decode_step(points[:, :2], z, scene, weights, cfg, cache)
+        with pytest.raises(UsageError):
+            model.decode_step(points[:, :2], z, scene, weights, cfg, cache)
+        with pytest.raises(UsageError):
+            model.decode_step(points + 1.0, z, scene, weights, cfg, cache)
+
+    def test_predict_records_no_graph(self, monkeypatch):
+        cfg, weights = toy_setup()
+        scene = toy_scene(cfg)
+        made = []
+        make = ad._make
+
+        def recording(data, parents):
+            made.append(make(data, parents))
+            return made[-1]
+
+        monkeypatch.setattr(ad, "_make", recording)
+        model.predict(scene, weights, cfg)
+        assert made
+        assert not any(t.requires_grad or t._backward_fn is not None or t._parents
+                       for t in made)
 
 
 class TestTeacherForcing:

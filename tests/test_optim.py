@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from sctn import autodiff as ad
 from sctn import data as data_mod
 from sctn import optim
 from sctn.autodiff import Tensor
@@ -143,3 +147,25 @@ class TestTrain:
             return [r["train_loss"] for r in result.trace]
 
         assert run() == run()
+
+
+def test_backward_frees_segment_graph_without_cyclic_gc():
+    cfg, weights, samples = toy_training_setup(n_samples=1)
+    gc.collect()
+    gc.disable()
+    try:
+        loss = optim._segment_loss(samples[0], weights, cfg, True, ad.CounterRng(0))
+        refs, stack, seen = [], [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen and node._backward_fn is not None:
+                seen.add(id(node))
+                refs.append(weakref.ref(node))
+                stack.extend(node._parents)
+        del node
+        ad.backward(loss)
+        del loss
+        assert len(refs) > 50
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
