@@ -5,6 +5,13 @@ operation records its parents and a backward closure; calling ``backward`` on
 a scalar loss walks the graph once in reverse topological order, accumulates
 gradients additively across fan-out, and then unlinks the graph it ran.
 Inside ``with no_grad():`` operations record nothing, for inference.
+
+Finiteness is checked once per op: matmul, add, mul, scalar_mul, concat_last,
+mean and layer_norm raise NumericError on a non-finite output (naming it, e.g.
+``matmul output``), which a NaN or inf in any input always produces. relu,
+sigmoid and softmax map +-inf to finite values, so they check their input;
+the shape ops, scale_channels and dropout are unchecked and leave a bad value
+to the next op.
 """
 from __future__ import annotations
 
@@ -12,7 +19,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ConfigError, MaskError, NumericError, ShapeError, UsageError
+from .errors import ConfigError, NumericError, ShapeError, UsageError
 
 MAX_RANK = 4
 
@@ -34,7 +41,7 @@ def no_grad():
 
 
 def _require_finite(name, arr):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values in {name}")
 
 
@@ -80,9 +87,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -106,13 +110,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-
-def as_tensor(x, dtype=None):
-    if isinstance(x, Tensor):
-        return x
-    arr = np.asarray(x, dtype=dtype if dtype is not None else np.float64)
-    return Tensor(arr)
 
 
 def _make(data, parents):
@@ -143,8 +140,6 @@ def _acc(t, g):
 
 def matmul(a, b):
     """Matrix product; rank-3 operands are batched over the leading axis."""
-    _require_finite("matmul lhs", a.data)
-    _require_finite("matmul rhs", b.data)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul requires rank >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -152,6 +147,7 @@ def matmul(a, b):
     if a.ndim == 3 and b.ndim == 3 and a.shape[0] != b.shape[0]:
         raise ShapeError(f"matmul batch dimensions differ: {a.shape} @ {b.shape}")
     out_data = np.matmul(a.data, b.data)
+    _require_finite("matmul output", out_data)
     out = _make(out_data, (a, b))
 
     def backward_fn():
@@ -170,15 +166,15 @@ def matmul(a, b):
 
 def add(a, b):
     """Elementwise sum; a rank-1 rhs broadcasts along the last axis (bias add)."""
-    _require_finite("add lhs", a.data)
-    _require_finite("add rhs", b.data)
     bias = b.ndim == 1 and a.ndim > 1
     if bias:
         if b.shape[0] != a.shape[-1]:
             raise ShapeError(f"bias length {b.shape[0]} vs last axis {a.shape[-1]}")
     elif a.shape != b.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
-    out = _make(a.data + b.data, (a, b))
+    out_data = a.data + b.data
+    _require_finite("add output", out_data)
+    out = _make(out_data, (a, b))
 
     def backward_fn():
         g = out.grad
@@ -193,11 +189,11 @@ def add(a, b):
 
 def mul(a, b):
     """Elementwise product of same-shape tensors."""
-    _require_finite("mul lhs", a.data)
-    _require_finite("mul rhs", b.data)
     if a.shape != b.shape:
         raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
-    out = _make(a.data * b.data, (a, b))
+    out_data = a.data * b.data
+    _require_finite("mul output", out_data)
+    out = _make(out_data, (a, b))
 
     def backward_fn():
         _acc(a, out.grad * b.data)
@@ -207,11 +203,12 @@ def mul(a, b):
 
 
 def scalar_mul(a, c):
-    _require_finite("scalar_mul input", a.data)
     c = float(c)
     if not np.isfinite(c):
         raise NumericError("non-finite scalar multiplier")
-    out = _make(a.data * c, (a,))
+    out_data = a.data * c
+    _require_finite("scalar_mul output", out_data)
+    out = _make(out_data, (a,))
     return _link(out, lambda: _acc(a, out.grad * c))
 
 
@@ -244,10 +241,11 @@ def concat_last(tensors):
     tensors = list(tensors)
     lead = tensors[0].shape[:-1]
     for t in tensors:
-        _require_finite("concat input", t.data)
         if t.shape[:-1] != lead:
             raise ShapeError(f"concat leading shapes differ: {t.shape[:-1]} vs {lead}")
-    out = _make(np.concatenate([t.data for t in tensors], axis=-1), tuple(tensors))
+    out_data = np.concatenate([t.data for t in tensors], axis=-1)
+    _require_finite("concat_last output", out_data)
+    out = _make(out_data, tuple(tensors))
 
     def backward_fn():
         offset = 0
@@ -261,9 +259,9 @@ def concat_last(tensors):
 
 def mean(a, axis=None):
     """Mean reduction over all elements (axis=None) or over the given axes."""
-    _require_finite("mean input", a.data)
-    out_data = a.data.mean(axis=axis)
-    out = _make(np.asarray(out_data), (a,))
+    out_data = np.asarray(a.data.mean(axis=axis))
+    _require_finite("mean output", out_data)
+    out = _make(out_data, (a,))
     count = a.size if axis is None else np.prod(
         [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
 
@@ -331,12 +329,13 @@ def layer_norm(x, gain, bias, epsilon=1e-5):
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm affine params must have shape ({d},)")
-    _require_finite("layer_norm input", x.data)
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + epsilon)
     xhat = (x.data - mu) * inv
-    out = _make(xhat * gain.data + bias.data, (x, gain, bias))
+    out_data = xhat * gain.data + bias.data
+    _require_finite("layer_norm output", out_data)
+    out = _make(out_data, (x, gain, bias))
 
     def backward_fn():
         g = out.grad
@@ -381,29 +380,6 @@ def dropout(x, rate, training, rng=None):
     factor = keep / (1.0 - rate)
     out = _make(x.data * factor, (x,))
     return _link(out, lambda: _acc(x, out.grad * factor))
-
-
-_PRIMITIVES = {
-    "matmul": matmul,
-    "add": add,
-    "elementwise-mul": mul,
-    "scalar-mul": scalar_mul,
-    "relu": relu,
-    "sigmoid": sigmoid,
-    "transpose": transpose,
-    "concat-last-axis": lambda *ts: concat_last(ts),
-    "mean-reduce": mean,
-    "broadcast-add-bias": add,
-}
-
-
-def primitive_forward(kind, *inputs):
-    """Dispatch a primitive by name. Convenience front door over the ops above."""
-    try:
-        fn = _PRIMITIVES[kind]
-    except KeyError:
-        raise UsageError(f"unknown primitive kind {kind!r}") from None
-    return fn(*inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,15 @@ def _cmd_prepare(args, cfg):
 
 
 def _infer_n_agents(split):
-    return split.all_samples()[0].scene.n_agents
+    samples = split.all_samples()
+    n_agents = samples[0].scene.n_agents
+    for i, sample in enumerate(samples):
+        if sample.scene.n_agents != n_agents:
+            raise DataError(
+                f"segment {i} ({sample.source_file}, vehicle {sample.vehicle_id}, "
+                f"start {sample.start_frame}) has {sample.scene.n_agents} agent "
+                f"channels, segment 0 has {n_agents}")
+    return n_agents
 
 
 def _cmd_train(args, cfg):
@@ -145,8 +153,10 @@ def _cmd_train(args, cfg):
 def _cmd_evaluate(args, cfg):
     split = checkpoint.load_segment_cache(args.data)
     weights = checkpoint.load_model_checkpoint(args.checkpoint)
-    samples = split.test or split.all_samples()
-    report = metrics.evaluate(weights, samples, weights.config)
+    if not split.test:
+        raise DataError(f"the test split of {args.data} is empty; "
+                        f"evaluate scores held-out segments only")
+    report = metrics.evaluate(weights, split.test, weights.config)
     csv_text = report.to_csv(include_reference=True)
     (args.out / "metrics.csv").write_text(csv_text)
     print(csv_text, end="")

@@ -85,12 +85,21 @@ def _segment_loss(sample, weights, config, training, rng):
     return l2_loss(pred, target, sample.scene.channel_mask)
 
 
+def _segment_error(exc, sample, where="at"):
+    """NumericError naming the segment whose forward or backward raised exc."""
+    return NumericError(f"{exc} {where} segment ({sample.source_file}, "
+                        f"vehicle {sample.vehicle_id}, start {sample.start_frame})")
+
+
 def evaluate_loss(samples, weights, config):
     """Mean inference-mode loss over samples, computed without a gradient graph."""
     total = 0.0
     with ad.no_grad():
         for sample in samples:
-            total += _segment_loss(sample, weights, config, False, None).item()
+            try:
+                total += _segment_loss(sample, weights, config, False, None).item()
+            except NumericError as exc:
+                raise _segment_error(exc, sample) from exc
     return total / len(samples) if samples else float("nan")
 
 
@@ -119,19 +128,19 @@ def train(train_samples, val_samples, weights, config, epochs, batch_size=16,
             weights.zero_grads()
             batch_loss = 0.0
             for sample in batch:
-                loss = _segment_loss(sample, weights, config, True, rng)
-                val = loss.item()
-                if not np.isfinite(val):
-                    raise NumericError(
-                        f"non-finite loss at epoch {epoch}, segment "
-                        f"({sample.source_file}, vehicle {sample.vehicle_id}, "
-                        f"start {sample.start_frame})")
-                batch_loss += val
-                ad.backward(ad.scalar_mul(loss, 1.0 / len(batch)))
+                try:
+                    loss = _segment_loss(sample, weights, config, True, rng)
+                    ad.backward(ad.scalar_mul(loss, 1.0 / len(batch)))
+                except NumericError as exc:
+                    raise _segment_error(exc, sample, f"at epoch {epoch},") from exc
+                batch_loss += loss.item()
             adam_step(params, state)
             epoch_loss += batch_loss
         train_loss = epoch_loss / len(train_samples)
-        val_loss = evaluate_loss(val_samples, weights, config) if val_samples else train_loss
+        try:
+            val_loss = evaluate_loss(val_samples, weights, config) if val_samples else train_loss
+        except NumericError as exc:
+            raise NumericError(f"{exc}, validating epoch {epoch}") from exc
         if val_loss < best_val:
             best_val = val_loss
             best_state = weights.state_dict()

@@ -1,8 +1,12 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from sctn import autodiff as ad
+from sctn import data as data_mod
+from sctn import model
 from sctn.autodiff import CounterRng, Tensor
 from sctn.errors import ConfigError, MaskError, NumericError, ShapeError, UsageError
 
@@ -41,12 +45,6 @@ class TestPrimitives:
     def test_add_shape_mismatch(self):
         with pytest.raises(ShapeError):
             ad.add(t(np.zeros((2, 3))), t(np.zeros((3, 2))))
-
-    def test_primitive_forward_dispatch(self):
-        out = ad.primitive_forward("relu", t([-2.0, 2.0]))
-        np.testing.assert_array_equal(out.data, [0.0, 2.0])
-        with pytest.raises(UsageError):
-            ad.primitive_forward("conv", t([0.0]))
 
     def test_concat_and_transpose(self):
         a, b = t([[1.0, 2.0]]), t([[3.0]])
@@ -137,6 +135,91 @@ class TestNoGrad:
         x = t([1.0, 2.0], grad=True)
         assert ad.dropout(x, 0.1, False) is x
         assert ad.dropout(x, 0.0, True, CounterRng(0)) is x
+
+
+# each finiteness-checking op, with the shapes of its finite operands
+CHECKING_OPS = {
+    "matmul": (ad.matmul, [(2, 3), (3, 4)]),
+    "add": (ad.add, [(2, 3), (2, 3)]),
+    "add bias": (ad.add, [(2, 3), (3,)]),
+    "mul": (ad.mul, [(2, 3), (2, 3)]),
+    "scalar_mul": (lambda a: ad.scalar_mul(a, 2.0), [(2, 3)]),
+    "scalar_mul by zero": (lambda a: ad.scalar_mul(a, 0.0), [(2, 3)]),
+    "concat_last": (lambda a, b: ad.concat_last([a, b]), [(2, 3), (2, 2)]),
+    "mean": (ad.mean, [(2, 3)]),
+    "mean axis": (lambda a: ad.mean(a, axis=0), [(2, 3)]),
+    "layer_norm": (ad.layer_norm, [(2, 3), (3,), (3,)]),
+    "relu": (ad.relu, [(2, 3)]),
+    "sigmoid": (ad.sigmoid, [(2, 3)]),
+    "softmax": (ad.softmax, [(2, 3)]),
+}
+CHECKING_PRIMITIVES = ("matmul", "add", "mul", "scalar_mul", "concat_last", "mean",
+                       "layer_norm", "relu", "sigmoid", "softmax")
+ALL_PRIMITIVES = CHECKING_PRIMITIVES + ("transpose", "reshape", "index",
+                                        "scale_channels", "dropout")
+
+
+def _planted_cases():
+    for name, (_, shapes) in CHECKING_OPS.items():
+        for pos in range(len(shapes)):
+            for bad in (np.nan, np.inf, -np.inf):
+                yield pytest.param(name, pos, bad, id=f"{name}-arg{pos}-{bad}")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestFinitenessPolicy:
+    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "no_grad"])
+    @pytest.mark.parametrize("name, pos, bad", list(_planted_cases()))
+    def test_non_finite_operand_raises(self, name, pos, bad, grad):
+        fn, shapes = CHECKING_OPS[name]
+        rng = np.random.default_rng(0)
+        arrays = [rng.normal(size=shape) + 1.0 for shape in shapes]
+        arrays[pos].flat[1] = bad
+        mode = contextlib.nullcontext() if grad else ad.no_grad()
+        with pytest.raises(NumericError, match="non-finite values in"), mode:
+            fn(*[t(a, grad=True) for a in arrays])
+
+    def test_finite_operands_pass(self):
+        rng = np.random.default_rng(0)
+        for fn, shapes in CHECKING_OPS.values():
+            out = fn(*[t(rng.normal(size=shape)) for shape in shapes])
+            assert np.isfinite(out.data).all()
+
+    def test_float32_matmul_overflow_names_op(self):
+        big = Tensor(np.full((2, 2), 1e20, dtype=np.float32))
+        with pytest.raises(NumericError, match="matmul output"):
+            ad.matmul(big, big)
+
+    @pytest.mark.parametrize("op", ["add", "mul", "scalar_mul"])
+    def test_float32_elementwise_overflow_names_op(self, op):
+        big = Tensor(np.full(3, 3e38, dtype=np.float32))
+        fns = {"add": lambda: ad.add(big, big), "mul": lambda: ad.mul(big, big),
+               "scalar_mul": lambda: ad.scalar_mul(big, 4.0)}
+        with pytest.raises(NumericError, match=f"{op} output"):
+            fns[op]()
+
+    def test_predict_checks_at_most_once_per_op(self, monkeypatch):
+        cfg = model.ModelConfig(seed=0, **model.TOY_DIMS)
+        weights = model.ModelWeights(cfg)
+        sample = data_mod.synthesize_scenes(1, "turn", seed=1, n_agents=cfg.n_agents)[0]
+        window = cfg.t_obs + cfg.t_pred
+        scene = model.Scene(positions=sample.scene.positions[:, :window],
+                            channel_mask=sample.scene.channel_mask)
+        calls = dict.fromkeys(ALL_PRIMITIVES + ("_require_finite",), 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ad, name, counted(name, getattr(ad, name)))
+        model.predict(scene, weights, cfg)
+        op_calls = sum(calls[name] for name in ALL_PRIMITIVES)
+        checking_calls = sum(calls[name] for name in CHECKING_PRIMITIVES)
+        assert calls["matmul"] > 0 and calls["softmax"] > 0
+        assert calls["_require_finite"] == checking_calls <= op_calls
 
 
 class TestLayerNorm:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sctn import checkpoint
+from sctn import checkpoint, model
+from sctn import data as data_mod
 from sctn.cli import main
 
 
@@ -178,3 +179,49 @@ class TestExitCodes:
         assert run(["train", "--config", cfg, "--data", cache,
                     "--out", tmp_path / "t"]) == 3
         assert "numeric error" in capsys.readouterr().err
+
+    def test_nan_weight_names_op_and_segment(self, tmp_path, small_cfg, capsys,
+                                             monkeypatch):
+        cache = synth(tmp_path, small_cfg)
+        build = model.ModelWeights._build
+
+        def planted(self):
+            build(self)
+            self.registry["dec0/ffn/w1"].data[0, 0] = np.nan
+
+        monkeypatch.setattr(model.ModelWeights, "_build", planted)
+        assert run(["train", "--config", small_cfg, "--data", cache,
+                    "--out", tmp_path / "t"]) == 3
+        err = capsys.readouterr().err
+        assert "numeric error" in err and "matmul output" in err
+        first = checkpoint.load_segment_cache(cache).train[0]
+        assert f"vehicle {first.vehicle_id}," in err
+
+    def test_empty_test_split_is_data_error(self, tmp_path, small_cfg, capsys):
+        cfg = tmp_path / "notest.cfg"
+        cfg.write_text(SMALL_CFG + "train_fraction = 0.8\nval_fraction = 0.2\n"
+                       "test_fraction = 0\n")
+        cache = synth(tmp_path, cfg)
+        assert checkpoint.load_segment_cache(cache).test == []
+        train_out = tmp_path / "train"
+        assert run(["train", "--config", cfg, "--data", cache,
+                    "--out", train_out, "--epochs", "0"]) == 0
+        assert run(["evaluate", "--config", cfg, "--data", cache,
+                    "--checkpoint", train_out / "model.sctn",
+                    "--out", tmp_path / "e"]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "test split" in err
+        assert not (tmp_path / "e" / "metrics.csv").exists()
+
+    def test_mixed_agent_counts_are_data_error(self, tmp_path, small_cfg, capsys):
+        three = data_mod.synthesize_scenes(2, "linear", seed=0, n_agents=3)
+        four = data_mod.synthesize_scenes(2, "linear", seed=1, n_agents=4)
+        split = data_mod.DatasetSplit(train=three, validation=four[:1],
+                                      test=four[1:])
+        cache = tmp_path / "mixed.sctn"
+        checkpoint.save_segment_cache(cache, split)
+        assert run(["train", "--config", small_cfg, "--data", cache,
+                    "--out", tmp_path / "t"]) == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "segment 2 " in err
+        assert "4 agent channels" in err

@@ -8,7 +8,7 @@ from sctn import autodiff as ad
 from sctn import data as data_mod
 from sctn import optim
 from sctn.autodiff import Tensor
-from sctn.errors import DataError, ShapeError, UsageError
+from sctn.errors import DataError, NumericError, ShapeError, UsageError
 from sctn.model import ModelConfig, ModelWeights, TOY_DIMS, Scene
 from sctn.optim import adam_init, adam_step, train
 
@@ -147,6 +147,34 @@ class TestTrain:
             return [r["train_loss"] for r in result.trace]
 
         assert run() == run()
+
+    def test_numeric_error_names_op_and_segment(self):
+        cfg, weights, samples = toy_training_setup()
+        samples[1] = data_mod.SegmentSample(scene=samples[1].scene,
+                                            source_file="i80.csv", vehicle_id=4217,
+                                            start_frame=360)
+        weights.registry["dec0/ffn/w1"].data[0, 0] = np.nan
+        with pytest.raises(NumericError) as info:
+            train(samples[1:], [], weights, cfg, epochs=1)
+        message = str(info.value)
+        assert "matmul output" in message
+        assert "epoch 0" in message
+        assert "i80.csv" in message and "vehicle 4217" in message
+        assert "start 360" in message
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_validation_names_segment_and_epoch(self):
+        _, _, samples = toy_training_setup()
+        cfg = ModelConfig(**{**TOY_DIMS, "dtype": "float32"})
+        weights = ModelWeights(cfg)
+        val = [data_mod.SegmentSample(scene=samples[1].scene, source_file="us101.csv",
+                                      vehicle_id=77, start_frame=5)]
+        with pytest.raises(NumericError) as info:
+            train(samples[:1], val, weights, cfg, epochs=2, lr=1e20)
+        message = str(info.value)
+        assert "non-finite values in" in message
+        assert "us101.csv, vehicle 77, start 5" in message
+        assert "validating epoch 0" in message
 
 
 def test_backward_frees_segment_graph_without_cyclic_gc():
