@@ -2,9 +2,8 @@
 
 from .autodiff import (CounterRng, Tensor, backward, dropout,
                        finite_difference_check, layer_norm, softmax)
-from .blocks import (AttentionConfig, FeedForwardWeights, MultiHeadWeights,
-                     feed_forward, multi_head_attention, residual_sublayer,
-                     scaled_dot_attention)
+from .blocks import (FeedForwardWeights, MultiHeadWeights, feed_forward,
+                     multi_head_attention, residual_sublayer, scaled_dot_attention)
 from .model import (ModelConfig, ModelWeights, Scene, decode_step, encode,
                     predict, teacher_forced_forward)
 from .metrics import MetricsReport, ade, evaluate, fde, rmse
@@ -13,7 +12,7 @@ from .optim import OptimizerState, adam_init, adam_step, l2_loss, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionConfig", "CounterRng", "FeedForwardWeights", "MetricsReport",
+    "CounterRng", "FeedForwardWeights", "MetricsReport",
     "ModelConfig", "ModelWeights", "MultiHeadWeights", "OptimizerState",
     "Scene", "Tensor", "ade", "adam_init", "adam_step", "backward",
     "decode_step", "dropout", "encode", "evaluate", "fde",

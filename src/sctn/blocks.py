@@ -12,30 +12,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, MaskError, ShapeError
+from .errors import MaskError, ShapeError
 
 MASK_FILL = -1e9
-
-
-@dataclass
-class AttentionConfig:
-    model_dim: int = 512
-    num_heads: int = 8
-    ffn_dim: int = 0  # 0 -> 4 * model_dim
-    dropout_rate: float = 0.1
-
-    def __post_init__(self):
-        if self.model_dim <= 0 or self.num_heads <= 0:
-            raise ConfigError("model_dim and num_heads must be positive")
-        if self.model_dim % self.num_heads != 0:
-            raise ConfigError(
-                f"model_dim {self.model_dim} not divisible by num_heads {self.num_heads}")
-        if self.ffn_dim == 0:
-            self.ffn_dim = 4 * self.model_dim
-
-    @property
-    def head_dim(self):
-        return self.model_dim // self.num_heads
 
 
 @dataclass
@@ -89,12 +68,13 @@ def scaled_dot_attention(q, k, v, mask=None):
     return ad.matmul(weights, v)
 
 
-def multi_head_attention(x_q, x_kv, weights, config, mask=None):
+def multi_head_attention(x_q, x_kv, weights, mask=None):
     """h parallel attention heads over learned projections, concatenated and
     reprojected. Output has the shape of x_q."""
-    if x_q.shape[-1] != config.model_dim or x_kv.shape[-1] != config.model_dim:
+    model_dim = weights.w_o.shape[-1]
+    if x_q.shape[-1] != model_dim or x_kv.shape[-1] != model_dim:
         raise ShapeError(
-            f"inputs must have feature dim {config.model_dim}: {x_q.shape}, {x_kv.shape}")
+            f"inputs must have feature dim {model_dim}: {x_q.shape}, {x_kv.shape}")
     return attend_heads(project_heads(x_q, weights.w_q), project_heads(x_kv, weights.w_k),
                         project_heads(x_kv, weights.w_v), weights, mask=mask)
 

@@ -8,12 +8,13 @@ flat little-endian float32 payloads. Seekable and diffable by manifest.
 from __future__ import annotations
 
 import struct
+from dataclasses import fields
 
 import numpy as np
 
-from . import data as data_mod
-from .errors import DataError
-from .model import Scene
+from . import config as config_mod, data as data_mod
+from .errors import ConfigError, DataError
+from .model import ModelConfig, ModelWeights, Scene
 
 MAGIC = b"SCTN"
 VERSION = 1
@@ -50,28 +51,33 @@ def load_tensors(path):
         blob = fh.read()
     if blob[:4] != MAGIC:
         raise DataError(f"{path}: bad magic bytes, not a tensor container")
-    version, count = struct.unpack_from("<HI", blob, 4)
-    if version != VERSION:
-        raise DataError(f"{path}: unsupported container version {version}")
-    pos = 10
-    entries = []
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        name = blob[pos:pos + name_len].decode("utf-8")
-        pos += name_len
-        (rank,) = struct.unpack_from("<B", blob, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{rank}I", blob, pos) if rank else ()
-        pos += 4 * rank
-        (offset,) = struct.unpack_from("<Q", blob, pos)
-        pos += 8
-        entries.append((name, shape, offset))
+    try:
+        version, count = struct.unpack_from("<HI", blob, 4)
+        if version != VERSION:
+            raise DataError(f"{path}: unsupported container version {version}")
+        pos = 10
+        entries = []
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", blob, pos)
+            pos += 2
+            name = blob[pos:pos + name_len].decode("utf-8")
+            pos += name_len
+            (rank,) = struct.unpack_from("<B", blob, pos)
+            pos += 1
+            shape = struct.unpack_from(f"<{rank}I", blob, pos) if rank else ()
+            pos += 4 * rank
+            (offset,) = struct.unpack_from("<Q", blob, pos)
+            pos += 8
+            entries.append((name, shape, offset))
+    except (struct.error, UnicodeDecodeError):
+        raise DataError(f"{path}: truncated or corrupt manifest") from None
     payload_start = pos
     out = {}
     for name, shape, offset in entries:
         n = int(np.prod(shape)) if shape else 1
         start = payload_start + offset
+        if start + 4 * n > len(blob):
+            raise DataError(f"{path}: payload of {name} runs past the end of the file")
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=start)
         out[name] = arr.reshape(shape).copy()
     return out
@@ -150,46 +156,38 @@ def load_segment_cache(path):
 # model checkpoints
 # ---------------------------------------------------------------------------
 
-_CONFIG_FIELDS = ("n_agents", "t_obs", "t_pred", "model_dim", "heads", "layers",
-                  "ffn_dim", "dropout", "se_reduction", "se_enabled",
-                  "embed_hidden", "predict_offsets", "seed", "dtype")
+# sidecar keys of removed features, each with the one value at which the
+# checkpoint still describes the current model
+_RETIRED_KEYS = {"se_on_decoder": "False", "embed_hidden": "False"}
+_SIDECAR_SCHEMA = {**config_mod.MODEL_SCHEMA,
+                   **{key: (str, value) for key, value in _RETIRED_KEYS.items()}}
 
 
 def save_model_checkpoint(path, weights):
     """Container of all learnable tensors plus a key=value config sidecar."""
     save_tensors(path, weights.state_dict())
-    cfg = weights.config
     with open(str(path) + ".config", "w") as fh:
-        for name in _CONFIG_FIELDS:
-            fh.write(f"{name} = {getattr(cfg, name)}\n")
+        for f in fields(weights.config):
+            fh.write(f"{f.name} = {getattr(weights.config, f.name)}\n")
 
 
 def load_model_checkpoint(path):
     """Rebuild ModelWeights from a checkpoint and its config sidecar."""
-    from .model import ModelConfig, ModelWeights
-
-    kwargs = {}
+    sidecar = str(path) + ".config"
     try:
-        with open(str(path) + ".config") as fh:
-            for line in fh:
-                key, _, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                if key == "se_on_decoder":
-                    # the decoder SE block was removed; its tensors would be dropped
-                    if value == "True":
-                        raise DataError(f"{path}.config: se_on_decoder = True is no "
-                                        "longer supported")
-                elif key in ("se_enabled", "embed_hidden", "predict_offsets"):
-                    kwargs[key] = value == "True"
-                elif key == "dtype":
-                    kwargs[key] = value
-                elif key == "dropout":
-                    kwargs[key] = float(value)
-                elif key in _CONFIG_FIELDS:
-                    kwargs[key] = int(value)
+        values = config_mod.parse_config_file(sidecar, _SIDECAR_SCHEMA)
     except FileNotFoundError:
-        raise DataError(f"{path}.config: checkpoint config sidecar missing") from None
-    config = ModelConfig(**kwargs)
+        raise DataError(f"{sidecar}: checkpoint config sidecar missing") from None
+    except ConfigError as exc:
+        raise DataError(str(exc)) from None
+    for key, value in _RETIRED_KEYS.items():
+        found = values.pop(key, value)
+        if found != value:
+            raise DataError(f"{sidecar}: {key} = {found} is no longer supported")
+    try:
+        config = ModelConfig(**values)
+    except ConfigError as exc:
+        raise DataError(f"{sidecar}: {exc}") from None
     weights = ModelWeights(config)
     weights.load_state_dict(load_tensors(path))
     return weights

@@ -257,9 +257,12 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     try:
-        cfg = _resolve(args)
-        _prepare_out(args, cfg)
-        return _COMMANDS[args.command](args, cfg)
+        # a non-finite result raises NumericError at the op that made it, so
+        # numpy's warnings would only repeat it ahead of the exit-3 message
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            cfg = _resolve(args)
+            _prepare_out(args, cfg)
+            return _COMMANDS[args.command](args, cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

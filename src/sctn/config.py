@@ -1,30 +1,29 @@
 """Flat key = value run configuration.
 
-One schema covers model, training, data and ablation settings; unknown keys
-are rejected and the fully resolved config is echoed into every output
-directory so a run can always be reproduced from its artifacts.
+One schema covers model, training, data and ablation settings. Its model keys,
+their types and defaults are the fields of ``model.ModelConfig``; the rest are
+listed here. A config resolves in layers: schema defaults, then the profile's
+values from ``model.PROFILES``, then the config file, then explicit flags.
+Unknown keys are rejected, and the fully resolved config is echoed into every
+output directory so a run can always be reproduced from its artifacts.
 """
 from __future__ import annotations
 
+from dataclasses import fields
+from typing import get_type_hints
+
 from .errors import ConfigError
+from .model import PROFILES, ModelConfig
+
+_MODEL_TYPES = get_type_hints(ModelConfig)
+
+# key -> (type, default) for each ModelConfig field, in field order
+MODEL_SCHEMA = {f.name: (_MODEL_TYPES[f.name], f.default) for f in fields(ModelConfig)}
 
 # key -> (type, default); bools are written as true/false
 SCHEMA = {
     "profile": (str, "desk"),
-    "n_agents": (int, 10),
-    "t_obs": (int, 15),
-    "t_pred": (int, 25),
-    "model_dim": (int, 0),        # 0 -> from profile
-    "heads": (int, 0),            # 0 -> from profile
-    "layers": (int, 2),
-    "ffn_dim": (int, 0),
-    "dropout": (float, -1.0),     # < 0 -> from profile
-    "se_reduction": (int, 2),
-    "se_enabled": (bool, True),
-    "embed_hidden": (bool, False),
-    "predict_offsets": (bool, False),
-    "dtype": (str, "float32"),
-    "seed": (int, 0),
+    **MODEL_SCHEMA,
     "epochs": (int, 50),
     "batch_size": (int, 16),
     "lr": (float, 0.01),
@@ -41,29 +40,27 @@ SCHEMA = {
     "ablation_epochs": (int, 2),
 }
 
-_PROFILE_DEFAULTS = {
-    "desk": dict(model_dim=64, heads=4, dropout=0.0),
-    "paper": dict(model_dim=512, heads=8, dropout=0.1),
-}
 
-
-def _parse_value(key, text):
-    typ, _ = SCHEMA[key]
+def _parse_value(where, typ, text):
+    """A value written as text, read as typ (int, float, bool or str); where
+    names its file, line and key in an error."""
     text = text.strip()
     if typ is bool:
         if text.lower() in ("true", "on", "1", "yes"):
             return True
         if text.lower() in ("false", "off", "0", "no"):
             return False
-        raise ConfigError(f"config key {key}: expected a boolean, got {text!r}")
+        raise ConfigError(f"{where}: expected a boolean, got {text!r}")
     try:
         return typ(text)
     except ValueError:
-        raise ConfigError(f"config key {key}: expected {typ.__name__}, got {text!r}") from None
+        raise ConfigError(f"{where}: expected {typ.__name__}, got {text!r}") from None
 
 
-def parse_config_file(path):
-    """Parse a key = value file with '#' comments into a plain dict."""
+def parse_config_file(path, schema=SCHEMA):
+    """Parse a key = value file with '#' comments into a plain dict.
+
+    Every key must be in schema, which maps it to (type, default)."""
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -74,48 +71,33 @@ def parse_config_file(path):
                 raise ConfigError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in SCHEMA:
+            if key not in schema:
                 raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _parse_value(key, value)
+            values[key] = _parse_value(f"{path}:{lineno}: config key {key}",
+                                       schema[key][0], value)
     return values
 
 
 def resolve(file_values=None, overrides=None):
     """defaults -> profile -> config file -> explicit flag overrides."""
-    cfg = {key: default for key, (_, default) in SCHEMA.items()}
-    if file_values:
-        cfg.update(file_values)
-    if overrides:
-        for key, value in overrides.items():
-            if value is None:
-                continue
-            if key not in SCHEMA:
-                raise ConfigError(f"unknown config key {key!r}")
-            cfg[key] = value
-    profile = cfg["profile"]
-    if profile not in _PROFILE_DEFAULTS:
+    file_values = file_values or {}
+    flags = {key: value for key, value in (overrides or {}).items() if value is not None}
+    for key in [*file_values, *flags]:
+        if key not in SCHEMA:
+            raise ConfigError(f"unknown config key {key!r}")
+    profile = flags.get("profile", file_values.get("profile", SCHEMA["profile"][1]))
+    if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}")
-    for key, value in _PROFILE_DEFAULTS[profile].items():
-        sentinel = SCHEMA[key][1]
-        if cfg[key] == sentinel:
-            cfg[key] = value
+    cfg = {key: default for key, (_, default) in SCHEMA.items()}
+    for layer in (PROFILES[profile], file_values, flags):
+        cfg.update(layer)
     if cfg["units"] not in ("feet", "meters"):
         raise ConfigError(f"units must be feet or meters, got {cfg['units']!r}")
     return cfg
 
 
 def model_config_from(cfg, **extra):
-    from .model import ModelConfig
-
-    kwargs = dict(
-        n_agents=cfg["n_agents"], t_obs=cfg["t_obs"], t_pred=cfg["t_pred"],
-        model_dim=cfg["model_dim"], heads=cfg["heads"], layers=cfg["layers"],
-        ffn_dim=cfg["ffn_dim"], dropout=cfg["dropout"],
-        se_reduction=cfg["se_reduction"], se_enabled=cfg["se_enabled"],
-        embed_hidden=cfg["embed_hidden"],
-        predict_offsets=cfg["predict_offsets"], seed=cfg["seed"], dtype=cfg["dtype"])
-    kwargs.update(extra)
-    return ModelConfig(**kwargs)
+    return ModelConfig(**{**{key: cfg[key] for key in MODEL_SCHEMA}, **extra})
 
 
 def echo(cfg):

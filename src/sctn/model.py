@@ -23,12 +23,16 @@ import numpy as np
 from . import autodiff as ad
 from . import blocks, embedding, se
 from .autodiff import Tensor
-from .blocks import AttentionConfig, FeedForwardWeights, MultiHeadWeights
+from .blocks import FeedForwardWeights, MultiHeadWeights
 from .errors import ConfigError, DataError, UsageError
 
 
 @dataclass
 class ModelConfig:
+    """The one definition of the model's keys, types, defaults and validation.
+
+    The run config schema and the checkpoint sidecar are derived from these
+    fields; a profile is a set of values applied over their defaults."""
     n_agents: int = 10
     t_obs: int = 15
     t_pred: int = 25
@@ -39,17 +43,22 @@ class ModelConfig:
     dropout: float = 0.1
     se_reduction: int = 2
     se_enabled: bool = True
-    embed_hidden: bool = False
     predict_offsets: bool = False
-    seed: int = 0
     dtype: str = "float32"
+    seed: int = 0
 
     def __post_init__(self):
+        for key in ("n_agents", "t_obs", "t_pred", "model_dim", "heads", "layers",
+                    "se_reduction"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if self.ffn_dim < 0:
+            raise ConfigError(f"ffn_dim must be >= 0, got {self.ffn_dim}")
+        if not 0 <= self.dropout < 1:
+            raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.model_dim % self.heads != 0:
             raise ConfigError(
                 f"model_dim {self.model_dim} not divisible by heads {self.heads}")
-        if self.t_obs < 1 or self.t_pred < 1 or self.n_agents < 1:
-            raise ConfigError("t_obs, t_pred and n_agents must be >= 1")
         if self.ffn_dim == 0:
             self.ffn_dim = 4 * self.model_dim
         if self.dtype not in ("float32", "float64"):
@@ -59,19 +68,16 @@ class ModelConfig:
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
 
-    def attention_config(self):
-        return AttentionConfig(model_dim=self.model_dim, num_heads=self.heads,
-                               ffn_dim=self.ffn_dim, dropout_rate=self.dropout)
-
     def fingerprint(self):
         return (f"N{self.n_agents}_T{self.t_obs}+{self.t_pred}_D{self.model_dim}"
                 f"_h{self.heads}_L{self.layers}_se{int(self.se_enabled)}"
                 f"r{self.se_reduction}_seed{self.seed}")
 
 
+# applied over the ModelConfig defaults, before a config file and flags
 PROFILES = {
-    "desk": dict(model_dim=64, heads=4, layers=2, dropout=0.0),
-    "paper": dict(model_dim=512, heads=8, layers=2, dropout=0.1),
+    "desk": dict(model_dim=64, heads=4, dropout=0.0),
+    "paper": dict(model_dim=512, heads=8, dropout=0.1),
 }
 
 # small enough that full-model finite differencing stays interactive
@@ -176,22 +182,14 @@ class ModelWeights:
         return se.SEWeights(
             w1=self._param(f"{prefix}/w1", (cfg.n_agents, width), fan_in=cfg.n_agents),
             w2=self._param(f"{prefix}/w2", (width, cfg.n_agents), fan_in=width),
-            reduction_ratio=cfg.se_reduction,
         )
 
     def _build(self):
         cfg = self.config
         d = cfg.model_dim
-        if cfg.embed_hidden:
-            self._param("embed/w0", (2, d), fan_in=2)
-            self._param("embed/b0", (d,))
-            self.embed = embedding.EmbeddingWeights(
-                mlp_w=self._param("embed/w", (d, d), fan_in=d),
-                mlp_b=self._param("embed/b", (d,)))
-        else:
-            self.embed = embedding.EmbeddingWeights(
-                mlp_w=self._param("embed/w", (2, d), fan_in=2),
-                mlp_b=self._param("embed/b", (d,)))
+        self.embed = embedding.EmbeddingWeights(
+            mlp_w=self._param("embed/w", (2, d), fan_in=2),
+            mlp_b=self._param("embed/b", (d,)))
         self.se_enc = self._se("se_enc") if cfg.se_enabled else None
         self.encoder = []
         for l in range(cfg.layers):
@@ -241,18 +239,8 @@ class ModelWeights:
 # ---------------------------------------------------------------------------
 
 def _embed(points, weights, start_t):
-    cfg = weights.config
-    if cfg.embed_hidden:
-        pts = Tensor(np.asarray(points, dtype=cfg.np_dtype))
-        hidden = ad.relu(ad.add(ad.matmul(pts, weights.registry["embed/w0"]),
-                                weights.registry["embed/b0"]))
-        emb = ad.add(ad.matmul(hidden, weights.embed.mlp_w), weights.embed.mlp_b)
-        pos = weights.table.rows(start_t, points.shape[1]).astype(cfg.np_dtype)
-        pos_block = Tensor(np.broadcast_to(
-            pos[None], (points.shape[0],) + pos.shape).copy())
-        return ad.add(emb, pos_block)
     return embedding.compose_input(points, weights.embed, weights.table,
-                                   start_t=start_t, dtype=cfg.np_dtype)
+                                   start_t=start_t, dtype=weights.config.np_dtype)
 
 
 def _sublayer(x, branch, norm, cfg, training, rng):
@@ -267,12 +255,11 @@ def encode(scene, weights, config, training=False, rng=None):
     obs = scene.observed(config.t_obs)
     if obs.shape[1] != config.t_obs:
         raise DataError(f"scene has {obs.shape[1]} frames, expected {config.t_obs}")
-    acfg = config.attention_config()
     x = _embed(obs, weights, start_t=0)
     if weights.se_enc is not None:
         x = se.se_pass(x, weights.se_enc, channel_mask=scene.channel_mask)
     for layer in weights.encoder:
-        attn = blocks.multi_head_attention(x, x, layer["attn"], acfg)
+        attn = blocks.multi_head_attention(x, x, layer["attn"])
         x = _sublayer(x, attn, layer["attn_norm"], config, training, rng)
         x = _sublayer(x, blocks.feed_forward(x, layer["ffn"]),
                       layer["ffn_norm"], config, training, rng)
@@ -284,14 +271,13 @@ def _decode_sequence(dec_points, z, scene, weights, config, training=False, rng=
 
     dec_points: N x t x 2 (seed token first); returns N x t x 2 outputs.
     """
-    acfg = config.attention_config()
     t = dec_points.shape[1]
     x = _embed(dec_points, weights, start_t=config.t_obs)
     mask = blocks.causal_mask(t)
     for layer in weights.decoder:
-        attn = blocks.multi_head_attention(x, x, layer["self_attn"], acfg, mask=mask)
+        attn = blocks.multi_head_attention(x, x, layer["self_attn"], mask=mask)
         x = _sublayer(x, attn, layer["self_norm"], config, training, rng)
-        cross = blocks.multi_head_attention(x, z, layer["cross"], acfg)
+        cross = blocks.multi_head_attention(x, z, layer["cross"])
         x = _sublayer(x, cross, layer["cross_norm"], config, training, rng)
         x = _sublayer(x, blocks.feed_forward(x, layer["ffn"]),
                       layer["ffn_norm"], config, training, rng)

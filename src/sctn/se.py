@@ -24,7 +24,6 @@ def bottleneck_width(n_channels, reduction_ratio):
 class SEWeights:
     w1: Tensor  # N x (N // r)
     w2: Tensor  # (N // r) x N
-    reduction_ratio: int = 2
 
 
 def squeeze(e):
@@ -42,11 +41,6 @@ def excite(z, weights):
     return ad.reshape(s, (z.shape[0],))
 
 
-def scale(e, s):
-    """Multiply channel c of e by s[c]."""
-    return ad.scale_channels(e, s)
-
-
 def se_pass(e, weights, channel_mask=None):
     """Full squeeze -> excite -> scale pass, shape preserving.
 
@@ -57,4 +51,4 @@ def se_pass(e, weights, channel_mask=None):
     z = squeeze(e)
     if channel_mask is not None:
         z = ad.mul(z, Tensor(np.asarray(channel_mask, dtype=z.dtype)))
-    return scale(e, excite(z, weights))
+    return ad.scale_channels(e, excite(z, weights))

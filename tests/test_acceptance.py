@@ -15,7 +15,7 @@ from sctn import autodiff as ad
 from sctn import blocks, checkpoint, data as data_mod, embedding, metrics, model
 from sctn import optim, se
 from sctn.autodiff import Tensor, finite_difference_check
-from sctn.blocks import AttentionConfig, FeedForwardWeights, MultiHeadWeights
+from sctn.blocks import FeedForwardWeights, MultiHeadWeights
 from sctn.errors import DataError
 from sctn.model import ModelConfig, ModelWeights, Scene, TOY_DIMS
 
@@ -53,7 +53,6 @@ class TestCriterion1GradientIntegrity:
                                                        sample=sample, rng=rng))
 
         # attention block
-        acfg = AttentionConfig(model_dim=16, num_heads=2)
         mw = MultiHeadWeights()
         for _ in range(2):
             mw.w_q.append(t64(rng.normal(size=(16, 8)), grad=True))
@@ -63,7 +62,7 @@ class TestCriterion1GradientIntegrity:
         x = t64(rng.normal(size=(3, 4, 16)))
 
         def attn_loss(_p):
-            out = blocks.multi_head_attention(x, x, mw, acfg)
+            out = blocks.multi_head_attention(x, x, mw)
             return ad.mean(ad.mul(out, out))
 
         for param in mw.w_q + mw.w_k + mw.w_v + [mw.w_o]:

@@ -4,9 +4,8 @@ import pytest
 from sctn import autodiff as ad
 from sctn import blocks
 from sctn.autodiff import Tensor
-from sctn.blocks import (AttentionConfig, FeedForwardWeights, MultiHeadWeights,
-                         causal_mask)
-from sctn.errors import ConfigError, MaskError
+from sctn.blocks import FeedForwardWeights, MultiHeadWeights, causal_mask
+from sctn.errors import MaskError, ShapeError
 
 
 def t(x, grad=False):
@@ -20,18 +19,6 @@ def identity_mha(d):
     w.w_v = [t(np.eye(d))]
     w.w_o = t(np.eye(d))
     return w
-
-
-class TestAttentionConfig:
-    def test_defaults(self):
-        cfg = AttentionConfig()
-        assert cfg.model_dim == 512 and cfg.num_heads == 8
-        assert cfg.head_dim == 64
-        assert cfg.ffn_dim == 2048
-
-    def test_divisibility(self):
-        with pytest.raises(ConfigError):
-            AttentionConfig(model_dim=10, num_heads=3)
 
 
 class TestScaledDotAttention:
@@ -92,19 +79,18 @@ class TestScaledDotAttention:
 
 class TestMultiHead:
     def test_single_identity_head_reduces(self):
-        cfg = AttentionConfig(model_dim=4, num_heads=1)
         rng = np.random.default_rng(2)
         x = t(rng.normal(size=(5, 4)))
-        out = blocks.multi_head_attention(x, x, identity_mha(4), cfg)
+        out = blocks.multi_head_attention(x, x, identity_mha(4))
         direct = blocks.scaled_dot_attention(x, x, x)
         np.testing.assert_allclose(out.data, direct.data, atol=1e-6)
 
-    def test_paper_dims_head_width(self):
-        cfg = AttentionConfig(model_dim=512, num_heads=8)
-        assert cfg.head_dim == 64
+    def test_feature_dim_checked_against_output_projection(self):
+        x = t(np.zeros((5, 4)))
+        with pytest.raises(ShapeError, match="feature dim 3"):
+            blocks.multi_head_attention(x, x, identity_mha(3))
 
     def test_shape_preserved(self):
-        cfg = AttentionConfig(model_dim=16, num_heads=4)
         rng = np.random.default_rng(3)
         w = MultiHeadWeights()
         for _ in range(4):
@@ -113,10 +99,9 @@ class TestMultiHead:
             w.w_v.append(t(rng.normal(size=(16, 4))))
         w.w_o = t(rng.normal(size=(16, 16)))
         x = t(rng.normal(size=(15, 16)))
-        assert blocks.multi_head_attention(x, x, w, cfg).shape == (15, 16)
+        assert blocks.multi_head_attention(x, x, w).shape == (15, 16)
 
     def test_batched_matches_per_channel(self):
-        cfg = AttentionConfig(model_dim=8, num_heads=2)
         rng = np.random.default_rng(4)
         w = MultiHeadWeights()
         for _ in range(2):
@@ -125,9 +110,9 @@ class TestMultiHead:
             w.w_v.append(t(rng.normal(size=(8, 4))))
         w.w_o = t(rng.normal(size=(8, 8)))
         x = rng.normal(size=(3, 6, 8))
-        batched = blocks.multi_head_attention(t(x), t(x), w, cfg).data
+        batched = blocks.multi_head_attention(t(x), t(x), w).data
         for c in range(3):
-            single = blocks.multi_head_attention(t(x[c]), t(x[c]), w, cfg).data
+            single = blocks.multi_head_attention(t(x[c]), t(x[c]), w).data
             np.testing.assert_allclose(batched[c], single, atol=1e-10)
 
 

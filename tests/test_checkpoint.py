@@ -1,7 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from sctn import checkpoint, config as config_mod, data as data_mod
+from sctn import checkpoint, config as config_mod, data as data_mod, model
 from sctn.errors import ConfigError, DataError
 from sctn.model import ModelConfig, ModelWeights, TOY_DIMS, predict
 
@@ -41,6 +43,16 @@ class TestTensorContainer:
         path = tmp_path / "bad.sctn"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(DataError, match="magic"):
+            checkpoint.load_tensors(path)
+
+    @pytest.mark.parametrize("keep", [6, 12, 20, -1])
+    def test_truncated_container_rejected(self, tmp_path, keep):
+        # cut inside the header, the manifest, and the last payload
+        path = tmp_path / "t.sctn"
+        checkpoint.save_tensors(path, {"layer/w": np.ones((3, 4), dtype=np.float32),
+                                       "b": np.ones(2, dtype=np.float32)})
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(DataError, match="truncated|past the end"):
             checkpoint.load_tensors(path)
 
     def test_bad_version_rejected(self, tmp_path):
@@ -92,20 +104,54 @@ class TestModelCheckpoint:
         with pytest.raises(DataError, match="sidecar"):
             checkpoint.load_model_checkpoint(path)
 
-    @pytest.mark.parametrize("value", ["False", "True"])
-    def test_sidecar_with_decoder_se_key(self, tmp_path, value):
-        # sidecars written before the decoder SE block was removed
+    @pytest.mark.parametrize("key, value", [
+        ("se_on_decoder", "False"), ("se_on_decoder", "True"),
+        ("embed_hidden", "False"), ("embed_hidden", "True"),
+    ], ids=["False", "True", "embed_hidden-False", "embed_hidden-True"])
+    def test_sidecar_with_decoder_se_key(self, tmp_path, key, value):
+        # sidecars written before the decoder SE block or the hidden embedding
+        # layer was removed
         cfg = ModelConfig(**TOY_DIMS)
         path = tmp_path / "model.sctn"
         checkpoint.save_model_checkpoint(path, ModelWeights(cfg))
         sidecar = tmp_path / "model.sctn.config"
-        sidecar.write_text(sidecar.read_text().replace(
-            "embed_hidden", f"se_on_decoder = {value}\nembed_hidden"))
+        text = sidecar.read_text()
+        assert "\nse_enabled = " in text
+        sidecar.write_text(text.replace("\nse_enabled = ",
+                                        f"\n{key} = {value}\nse_enabled = "))
+        assert f"{key} = {value}" in sidecar.read_text()
         if value == "False":
             assert checkpoint.load_model_checkpoint(path).config == cfg
         else:
-            with pytest.raises(DataError, match="se_on_decoder"):
+            with pytest.raises(DataError, match=key):
                 checkpoint.load_model_checkpoint(path)
+
+    @pytest.mark.parametrize("line, names", [
+        ("heads = two", ":3: .*heads"),
+        ("bogus_key = 1", ":3: .*bogus_key"),
+        ("heads", ":3: expected key = value"),
+        ("heads = 0", "heads must be >= 1"),
+        ("se_reduction = 0", "se_reduction must be >= 1"),
+    ])
+    def test_bad_sidecar_line_is_data_error(self, tmp_path, line, names):
+        path = tmp_path / "model.sctn"
+        checkpoint.save_model_checkpoint(path, ModelWeights(ModelConfig(**TOY_DIMS)))
+        sidecar = tmp_path / "model.sctn.config"
+        key = line.split("=")[0].strip()
+        lines = [old for old in sidecar.read_text().splitlines()
+                 if not old.startswith(f"{key} = ")]
+        lines.insert(2, line)
+        sidecar.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"model\.sctn\.config.*" + names):
+            checkpoint.load_model_checkpoint(path)
+
+    def test_sidecar_lists_every_field_in_order(self, tmp_path):
+        cfg = ModelConfig(**TOY_DIMS)
+        path = tmp_path / "model.sctn"
+        checkpoint.save_model_checkpoint(path, ModelWeights(cfg))
+        keys = [line.split(" = ")[0] for line in
+                (tmp_path / "model.sctn.config").read_text().splitlines()]
+        assert keys == list(config_mod.MODEL_SCHEMA)
 
 
 class TestSegmentCache:
@@ -200,6 +246,32 @@ class TestConfigFile:
         path.write_text(config_mod.echo(cfg))
         back = config_mod.resolve(config_mod.parse_config_file(path))
         assert back == cfg
+
+    def test_schema_holds_every_model_field_in_order(self):
+        assert list(config_mod.SCHEMA) == [
+            "profile", "n_agents", "t_obs", "t_pred", "model_dim", "heads",
+            "layers", "ffn_dim", "dropout", "se_reduction", "se_enabled",
+            "predict_offsets", "dtype", "seed", "epochs", "batch_size", "lr",
+            "units", "stride", "train_fraction", "val_fraction",
+            "test_fraction", "synth_count", "synth_kind", "synth_agents",
+            "synth_noise", "ablation_neighbors", "ablation_epochs"]
+        assert {f.name for f in fields(ModelConfig)} <= set(config_mod.SCHEMA)
+
+    @pytest.mark.parametrize("profile", ["desk", "paper"])
+    def test_profile_resolves_to_profile_config(self, profile):
+        cfg = config_mod.model_config_from(config_mod.resolve({"profile": profile}))
+        assert cfg == model.config_for_profile(profile)
+
+    def test_profile_applies_before_file_and_flags(self):
+        cfg = config_mod.resolve({"profile": "paper", "dropout": 0.0},
+                                 {"profile": "desk", "heads": 2})
+        assert (cfg["model_dim"], cfg["heads"], cfg["dropout"]) == (64, 2, 0.0)
+
+    def test_removed_key_rejected(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("embed_hidden = false\n")
+        with pytest.raises(ConfigError, match=r":1:.*embed_hidden"):
+            config_mod.parse_config_file(path)
 
     def test_model_config_from(self):
         cfg = config_mod.resolve({"profile": "desk", "n_agents": 5,

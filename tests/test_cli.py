@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sctn
 from sctn import checkpoint, model
 from sctn import data as data_mod
 from sctn.cli import main
@@ -34,6 +40,14 @@ def synth(tmp_path, small_cfg, name="cache", seed=0):
     assert run(["synth", "--config", small_cfg, "--out", out,
                 "--seed", seed]) == 0
     return out / "segments.sctn"
+
+
+def untrained_checkpoint(tmp_path, small_cfg):
+    cache = synth(tmp_path, small_cfg)
+    train_out = tmp_path / "train"
+    assert run(["train", "--config", small_cfg, "--data", cache,
+                "--out", train_out, "--epochs", "0"]) == 0
+    return cache, train_out / "model.sctn"
 
 
 class TestPipeline:
@@ -225,3 +239,56 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err and "segment 2 " in err
         assert "4 agent channels" in err
+
+    @pytest.mark.parametrize("which", ["checkpoint", "cache"])
+    def test_truncated_file_is_data_error(self, tmp_path, small_cfg, capsys, which):
+        cache, ckpt = untrained_checkpoint(tmp_path, small_cfg)
+        cut = ckpt if which == "checkpoint" else cache
+        cut.write_bytes(cut.read_bytes()[:-7])
+        assert run(["evaluate", "--config", small_cfg, "--data", cache,
+                    "--checkpoint", ckpt, "--out", tmp_path / "e"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "past the end" in err
+
+    @pytest.mark.parametrize("line, names", [
+        ("heads = two", "heads"),
+        ("bogus_key = 1", "bogus_key"),
+        ("heads = 0", "heads"),
+        ("embed_hidden = True", "embed_hidden"),
+        ("se_on_decoder = True", "se_on_decoder"),
+    ])
+    def test_bad_sidecar_line_is_data_error(self, tmp_path, small_cfg, capsys,
+                                            line, names):
+        cache, ckpt = untrained_checkpoint(tmp_path, small_cfg)
+        sidecar = Path(f"{ckpt}.config")
+        sidecar.write_text(sidecar.read_text() + line + "\n")
+        assert run(["evaluate", "--config", small_cfg, "--data", cache,
+                    "--checkpoint", ckpt, "--out", tmp_path / "e"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "model.sctn.config" in err
+        assert names in err
+
+    @pytest.mark.parametrize("line", ["se_reduction = 0", "heads = 0",
+                                      "model_dim = -512\nheads = -8",
+                                      "embed_hidden = false"])
+    def test_bad_model_config_line_is_usage_error(self, tmp_path, small_cfg, capsys,
+                                                 line):
+        cache = synth(tmp_path, small_cfg)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMALL_CFG + line + "\n")
+        assert run(["train", "--config", cfg, "--data", cache,
+                    "--out", tmp_path / "t"]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    def test_diverged_training_prints_only_the_numeric_error(self, tmp_path, small_cfg):
+        cache = synth(tmp_path, small_cfg)
+        cfg = tmp_path / "hot.cfg"
+        cfg.write_text(SMALL_CFG + "lr = 1e20\nepochs = 4\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(sctn.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sctn.cli", "train", "--config", str(cfg),
+             "--data", str(cache), "--out", str(tmp_path / "t")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numeric error:"), proc.stderr

@@ -59,6 +59,21 @@ class TestConfig:
     def test_ffn_default(self):
         assert ModelConfig(model_dim=16, heads=2).ffn_dim == 64
 
+    @pytest.mark.parametrize("bad", [
+        dict(model_dim=0), dict(model_dim=-512, heads=-8), dict(heads=0),
+        dict(layers=0), dict(se_reduction=0), dict(n_agents=0), dict(t_obs=0),
+        dict(t_pred=0), dict(ffn_dim=-1), dict(dropout=-0.1), dict(dropout=1.0),
+        dict(dtype="float16"),
+    ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+    def test_out_of_range_values_rejected(self, bad):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            ModelConfig(**bad)
+
+    def test_boundary_values_accepted(self):
+        cfg = ModelConfig(model_dim=1, heads=1, layers=1, se_reduction=1,
+                          ffn_dim=0, dropout=0.0)
+        assert cfg.ffn_dim == 4
+
 
 class TestEncode:
     def test_output_shape(self):
@@ -152,8 +167,7 @@ class TestCachedRollout:
         dict(layers=1),
         dict(layers=2, dropout=0.1),
         dict(layers=1, predict_offsets=True),
-        dict(layers=2, embed_hidden=True),
-    ], ids=["L1", "L2-dropout", "L1-offsets", "L2-embed-hidden"])
+    ], ids=["L1", "L2-dropout", "L1-offsets"])
     def test_matches_recompute(self, dtype, tol, kind, variant):
         cfg, weights = toy_setup(n_agents=4, t_pred=8, dtype=dtype, **variant)
         scene = padded_scene(cfg, kind)
