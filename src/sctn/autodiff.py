@@ -1,13 +1,15 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
-Tensors wrap flat row-major numpy arrays (rank <= 4). Every differentiable
-operation records its parents and a backward closure; calling ``backward`` on
-a scalar loss walks the graph once in reverse topological order, accumulates
-gradients additively across fan-out, and then unlinks the graph it ran.
-Inside ``with no_grad():`` operations record nothing, for inference.
+Tensors wrap numpy arrays of rank <= 4. Every differentiable operation records
+its parents and a backward closure; calling ``backward`` on a scalar loss walks
+the graph once in reverse topological order, accumulates gradients additively
+across fan-out, and then unlinks the graph it ran. Only leaves (tensors made
+with requires_grad, such as weights) keep their ``.grad``: an interior node
+drops its gradient as soon as its closure has passed it on. Inside
+``with no_grad():`` operations record nothing, for inference.
 
-Finiteness is checked once per op: matmul, add, mul, scalar_mul, concat_last,
-mean and layer_norm raise NumericError on a non-finite output (naming it, e.g.
+Finiteness is checked once per op: matmul, add, mul, scalar_mul, mean and
+layer_norm raise NumericError on a non-finite output (naming it, e.g.
 ``matmul output``), which a NaN or inf in any input always produces. relu,
 sigmoid and softmax map +-inf to finite values, so they check their input;
 the shape ops, scale_channels and dropout are unchecked and leave a bad value
@@ -30,7 +32,7 @@ _grad_enabled = True
 
 @contextmanager
 def no_grad():
-    """Within the block, op outputs do not require grad and record no graph."""
+    """In the block, or a function decorated with no_grad(), ops record no graph."""
     global _grad_enabled
     saved = _grad_enabled
     _grad_enabled = False
@@ -91,9 +93,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
     # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return add(self, scalar_mul(other, -1.0))
 
@@ -101,15 +100,6 @@ class Tensor:
         if isinstance(other, Tensor):
             return mul(self, other)
         return scalar_mul(self, float(other))
-
-    def __rmul__(self, other):
-        return scalar_mul(self, float(other))
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _make(data, parents):
@@ -139,12 +129,13 @@ def _acc(t, g):
 # ---------------------------------------------------------------------------
 
 def matmul(a, b):
-    """Matrix product; rank-3 operands are batched over the leading axis."""
+    """Matrix product over the last two axes; operands of rank >= 3 are batched
+    over the leading axes, which must match, and a rank-2 rhs is shared."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul requires rank >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    if a.ndim == 3 and b.ndim == 3 and a.shape[0] != b.shape[0]:
+    if a.ndim >= 3 and b.ndim >= 3 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul batch dimensions differ: {a.shape} @ {b.shape}")
     out_data = np.matmul(a.data, b.data)
     _require_finite("matmul output", out_data)
@@ -228,33 +219,12 @@ def sigmoid(a):
     return _link(out, lambda: _acc(a, out.grad * s * (1.0 - s)))
 
 
-def transpose(a):
-    """Swap the last two axes."""
+def transpose(a, axis1=-2, axis2=-1):
+    """Swap two axes, by default the last two."""
     if a.ndim < 2:
         raise ShapeError("transpose requires rank >= 2")
-    out = _make(np.swapaxes(a.data, -1, -2), (a,))
-    return _link(out, lambda: _acc(a, np.swapaxes(out.grad, -1, -2)))
-
-
-def concat_last(tensors):
-    """Concatenate along the last axis."""
-    tensors = list(tensors)
-    lead = tensors[0].shape[:-1]
-    for t in tensors:
-        if t.shape[:-1] != lead:
-            raise ShapeError(f"concat leading shapes differ: {t.shape[:-1]} vs {lead}")
-    out_data = np.concatenate([t.data for t in tensors], axis=-1)
-    _require_finite("concat_last output", out_data)
-    out = _make(out_data, tuple(tensors))
-
-    def backward_fn():
-        offset = 0
-        for t in tensors:
-            w = t.shape[-1]
-            _acc(t, out.grad[..., offset:offset + w])
-            offset += w
-
-    return _link(out, backward_fn)
+    out = _make(np.swapaxes(a.data, axis1, axis2), (a,))
+    return _link(out, lambda: _acc(a, np.swapaxes(out.grad, axis1, axis2)))
 
 
 def mean(a, axis=None):
@@ -262,8 +232,7 @@ def mean(a, axis=None):
     out_data = np.asarray(a.data.mean(axis=axis))
     _require_finite("mean output", out_data)
     out = _make(out_data, (a,))
-    count = a.size if axis is None else np.prod(
-        [a.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))])
+    count = a.size // out_data.size
 
     def backward_fn():
         g = out.grad
@@ -387,7 +356,7 @@ def dropout(x, rate, training, rng=None):
 # ---------------------------------------------------------------------------
 
 def backward(loss):
-    """Populate .grad for every requires_grad tensor reachable from loss."""
+    """Populate .grad for every requires_grad leaf reachable from loss."""
     if loss.size != 1:
         raise UsageError(f"backward requires a scalar loss, got shape {loss.shape}")
     topo = []
@@ -410,6 +379,7 @@ def backward(loss):
             node._backward_fn()
             node._backward_fn = None
             node._parents = ()
+            node.grad = None
 
 
 def finite_difference_check(f, x, step=1e-3, sample=None, rng=None):
@@ -422,8 +392,7 @@ def finite_difference_check(f, x, step=1e-3, sample=None, rng=None):
     if step <= 0:
         raise UsageError("finite-difference step must be positive")
     x.zero_grad()
-    out = f(x)
-    backward(out)
+    backward(f(x))
     analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
 
     flat = x.data.reshape(-1)

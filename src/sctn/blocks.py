@@ -2,11 +2,13 @@
 position-wise feed-forward, and the residual Add -> Dropout -> Norm wrapper.
 
 All entry points accept either single sequences (T x D) or a batch of agent
-channels (N x T x D); batching rides on the engine's rank-3 matmul.
+channels (N x T x D); batching rides on the engine's batched matmul. Heads are
+an array axis: a projection's output is split into ... x h x T x d_k by a
+reshape and an axis swap, so all heads attend in one batched product.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,11 +21,13 @@ MASK_FILL = -1e9
 
 @dataclass
 class MultiHeadWeights:
-    """Per-head query/key/value projections plus the output projection."""
-    w_q: list = field(default_factory=list)  # h tensors, D x d_k
-    w_k: list = field(default_factory=list)
-    w_v: list = field(default_factory=list)
-    w_o: Tensor = None                       # D x D
+    """Query/key/value and output projections, each D x D; head i owns
+    columns i*d_k .. (i+1)*d_k of w_q, w_k and w_v."""
+    w_q: Tensor
+    w_k: Tensor
+    w_v: Tensor
+    w_o: Tensor
+    heads: int = 1
 
 
 @dataclass
@@ -34,12 +38,12 @@ class FeedForwardWeights:
     b2: Tensor = None  # D
 
 
-def _mask_tensor(mask, dtype):
+def _mask_fill(mask, dtype):
     """Boolean mask (True = may attend) -> additive fill for blocked slots."""
     m = np.asarray(mask, dtype=bool)
     if not m.any(axis=-1).all():
         raise MaskError("attention mask blocks every key for some query row")
-    return Tensor(np.where(m, 0.0, MASK_FILL).astype(dtype))
+    return np.where(m, 0.0, MASK_FILL).astype(dtype)
 
 
 def causal_mask(t):
@@ -52,44 +56,44 @@ def scaled_dot_attention(q, k, v, mask=None):
 
     q: ... x T_q x d_k, k: ... x T_k x d_k, v: ... x T_k x d_v.
     mask: boolean T_q x T_k (True = attend), broadcast over leading axes.
+    Mismatched shapes raise ShapeError from the matmuls.
     """
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError(f"query/key dims differ: {q.shape} vs {k.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"key/value lengths differ: {k.shape} vs {v.shape}")
     scores = ad.scalar_mul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(q.shape[-1]))
     if mask is not None:
-        fill = _mask_tensor(mask, scores.dtype)
-        if fill.ndim < scores.ndim:
-            fill = ad.reshape(fill, (1,) * (scores.ndim - fill.ndim) + fill.shape)
-            fill = Tensor(np.broadcast_to(fill.data, scores.shape).copy())
-        scores = ad.add(scores, fill)
+        fill = np.broadcast_to(_mask_fill(mask, scores.dtype), scores.shape)
+        scores = ad.add(scores, Tensor(fill))
     weights = ad.softmax(scores, axis=-1)
     return ad.matmul(weights, v)
 
 
 def multi_head_attention(x_q, x_kv, weights, mask=None):
-    """h parallel attention heads over learned projections, concatenated and
+    """h parallel attention heads over learned projections, merged and
     reprojected. Output has the shape of x_q."""
     model_dim = weights.w_o.shape[-1]
     if x_q.shape[-1] != model_dim or x_kv.shape[-1] != model_dim:
         raise ShapeError(
             f"inputs must have feature dim {model_dim}: {x_q.shape}, {x_kv.shape}")
-    return attend_heads(project_heads(x_q, weights.w_q), project_heads(x_kv, weights.w_k),
-                        project_heads(x_kv, weights.w_v), weights, mask=mask)
+    heads = weights.heads
+    if model_dim % heads != 0:
+        raise ShapeError(f"{heads} heads do not divide feature dim {model_dim}")
+    return attend_heads(project_heads(x_q, weights.w_q, heads),
+                        project_heads(x_kv, weights.w_k, heads),
+                        project_heads(x_kv, weights.w_v, heads), weights, mask=mask)
 
 
-def project_heads(x, head_weights):
-    """x projected by each head's D x d_k matrix: a list of h tensors."""
-    return [ad.matmul(x, w) for w in head_weights]
+def project_heads(x, w, heads):
+    """x (... x T x D) projected by w and split into heads: ... x h x T x d_k."""
+    y = ad.matmul(x, w)
+    *lead, t, d = y.shape
+    return ad.transpose(ad.reshape(y, (*lead, t, heads, d // heads)), -3, -2)
 
 
 def attend_heads(queries, keys, values, weights, mask=None):
-    """Scaled dot-product attention per head, concatenated and reprojected by
-    w_o. Keys and values may come from a cache of earlier projections."""
-    heads = [scaled_dot_attention(q, k, v, mask=mask)
-             for q, k, v in zip(queries, keys, values)]
-    return ad.matmul(ad.concat_last(heads), weights.w_o)
+    """Attention of all heads at once (... x h x T x d_k), merged to ... x T x D
+    and reprojected by w_o. Keys and values may come from a cache."""
+    merged = ad.transpose(scaled_dot_attention(queries, keys, values, mask=mask), -3, -2)
+    *lead, t, heads, d_k = merged.shape
+    return ad.matmul(ad.reshape(merged, (*lead, t, heads * d_k)), weights.w_o)
 
 
 def feed_forward(x, weights):

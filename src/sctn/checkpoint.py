@@ -87,8 +87,7 @@ def load_tensors(path):
 # segment cache on top of the container
 # ---------------------------------------------------------------------------
 
-_SPLIT_CODES = {"train": 0.0, "validation": 1.0, "test": 2.0}
-_SPLIT_NAMES = {v: k for k, v in _SPLIT_CODES.items()}
+_SPLITS = ("train", "validation", "test")  # a segment's split code is its index
 
 
 def save_segment_cache(path, split):
@@ -96,7 +95,7 @@ def save_segment_cache(path, split):
     tensors = {}
     files = []
     idx = 0
-    for split_name in ("train", "validation", "test"):
+    for code, split_name in enumerate(_SPLITS):
         for sample in getattr(split, split_name):
             scene = sample.scene
             if sample.source_file not in files:
@@ -104,7 +103,7 @@ def save_segment_cache(path, split):
             meta = np.array([
                 scene.target_index, sample.vehicle_id, sample.start_frame,
                 scene.origin[0], scene.origin[1],
-                _SPLIT_CODES[split_name], files.index(sample.source_file),
+                code, files.index(sample.source_file),
             ])
             tensors[f"segment/{idx:05d}/positions"] = scene.positions
             tensors[f"segment/{idx:05d}/mask"] = scene.channel_mask.astype(np.float32)
@@ -114,7 +113,7 @@ def save_segment_cache(path, split):
     save_tensors(path, tensors)
     with open(str(path) + ".manifest", "w") as fh:
         fh.write(f"segments total: {idx}\n")
-        for split_name in ("train", "validation", "test"):
+        for split_name in _SPLITS:
             fh.write(f"segments {split_name}: {len(getattr(split, split_name))}\n")
         for i, name in enumerate(files):
             fh.write(f"source {i}: {name}\n")
@@ -124,9 +123,8 @@ def load_segment_cache(path):
     """Rebuild the DatasetSplit stored by save_segment_cache."""
     tensors = load_tensors(path)
     files = {}
-    manifest_path = str(path) + ".manifest"
     try:
-        with open(manifest_path) as fh:
+        with open(str(path) + ".manifest") as fh:
             for line in fh:
                 if line.startswith("source "):
                     key, name = line.split(":", 1)
@@ -137,19 +135,33 @@ def load_segment_cache(path):
         seed=int(tensors.get("split_seed", np.zeros(1))[0]))
     idx = 0
     while f"segment/{idx:05d}/positions" in tensors:
-        positions = tensors[f"segment/{idx:05d}/positions"].astype(np.float64)
-        mask = tensors[f"segment/{idx:05d}/mask"].astype(bool)
-        meta = tensors[f"segment/{idx:05d}/meta"]
-        scene = Scene(positions=positions, channel_mask=mask,
-                      target_index=int(meta[0]), origin=meta[3:5].astype(np.float64))
-        sample = data_mod.SegmentSample(
-            scene=scene, source_file=files.get(int(meta[6]), ""),
-            vehicle_id=int(meta[1]), start_frame=int(meta[2]))
-        getattr(split, _SPLIT_NAMES[float(meta[5])]).append(sample)
+        try:
+            split_name, sample = _read_segment(tensors, f"segment/{idx:05d}", files)
+        except KeyError as exc:
+            raise DataError(f"{path}: segment {idx}: no entry {exc}") from None
+        except DataError as exc:
+            raise DataError(f"{path}: segment {idx}: {exc}") from None
+        getattr(split, split_name).append(sample)
         idx += 1
     if idx == 0:
         raise DataError(f"{path}: segment cache holds no segments")
     return split
+
+
+def _read_segment(tensors, prefix, files):
+    """(split name, SegmentSample) of one cached segment, checked for shape."""
+    positions, mask, meta = (tensors[f"{prefix}/{entry}"]
+                             for entry in ("positions", "mask", "meta"))
+    if meta.shape != (7,) or not np.isfinite(meta).all():
+        raise DataError(f"meta must hold 7 finite entries, got {meta.tolist()}")
+    if meta[5] not in (0, 1, 2):
+        raise DataError(f"split code {meta[5]:g} is not 0, 1 or 2")
+    scene = Scene(positions=positions, channel_mask=mask.astype(bool),
+                  target_index=int(meta[0]), origin=meta[3:5].astype(np.float64))
+    sample = data_mod.SegmentSample(
+        scene=scene, source_file=files.get(int(meta[6]), ""),
+        vehicle_id=int(meta[1]), start_frame=int(meta[2]))
+    return _SPLITS[int(meta[5])], sample
 
 
 # ---------------------------------------------------------------------------
@@ -189,5 +201,19 @@ def load_model_checkpoint(path):
     except ConfigError as exc:
         raise DataError(f"{sidecar}: {exc}") from None
     weights = ModelWeights(config)
-    weights.load_state_dict(load_tensors(path))
+    state = load_tensors(path)
+    _join_legacy_heads(state, weights, path)
+    weights.load_state_dict(state)
     return weights
+
+
+def _join_legacy_heads(state, weights, path):
+    """Per-head tensors (.../wq0, wq1, ...) joined by column, head i as block i."""
+    for name in weights.registry:
+        parts = [f"{name}{i}" for i in range(weights.config.heads)]
+        if name.endswith(("/wq", "/wk", "/wv")) and any(p in state for p in parts):
+            try:
+                state[name] = np.concatenate([state.pop(p) for p in parts], axis=1)
+            except KeyError as exc:
+                missing = exc.args[0]
+                raise DataError(f"{path}: checkpoint is missing parameter {missing}") from None

@@ -93,7 +93,23 @@ def resolve(file_values=None, overrides=None):
         cfg.update(layer)
     if cfg["units"] not in ("feet", "meters"):
         raise ConfigError(f"units must be feet or meters, got {cfg['units']!r}")
+    for key in ("batch_size", "stride", "synth_count", "synth_agents"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
+    neighbor_counts(cfg)
     return cfg
+
+
+def neighbor_counts(cfg):
+    """The ablation_neighbors list, e.g. "5,10,15" -> [5, 10, 15]."""
+    try:
+        counts = [int(tok) for tok in cfg["ablation_neighbors"].split(",")]
+        if min(counts) >= 1:
+            return counts
+    except ValueError:
+        pass
+    raise ConfigError("ablation_neighbors must be a comma list of integers >= 1, "
+                      f"got {cfg['ablation_neighbors']!r}")
 
 
 def model_config_from(cfg, **extra):

@@ -104,8 +104,12 @@ class Scene:
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=np.float64)
         self.channel_mask = np.asarray(self.channel_mask, dtype=bool)
-        if not self.channel_mask[self.target_index]:
-            raise DataError("target channel must be a real agent")
+        shape = self.positions.shape
+        if len(shape) != 3 or shape[2] != 2 or self.channel_mask.shape != shape[:1]:
+            raise DataError(f"positions of shape {shape} and mask of shape "
+                            f"{self.channel_mask.shape} are not N x T x 2 and N")
+        if not (0 <= self.target_index < shape[0] and self.channel_mask[self.target_index]):
+            raise DataError(f"target channel {self.target_index} must be a real agent")
 
     @property
     def n_agents(self):
@@ -134,36 +138,36 @@ class ModelWeights:
         self._rng = np.random.default_rng(config.seed)
         self._build()
 
-    def _param(self, name, shape, fan_in=None):
+    def _register(self, name, data):
         if name in self.registry:
             raise UsageError(f"duplicate parameter name {name}")
-        if fan_in is None:
-            data = np.zeros(shape)
-        else:
-            bound = 1.0 / np.sqrt(fan_in)
-            data = self._rng.uniform(-bound, bound, size=shape)
         t = Tensor(data.astype(self.config.np_dtype), requires_grad=True)
         self.registry[name] = t
         return t
 
+    def _param(self, name, shape, fan_in=None):
+        if fan_in is None:
+            return self._register(name, np.zeros(shape))
+        bound = 1.0 / np.sqrt(fan_in)
+        return self._register(name, self._rng.uniform(-bound, bound, size=shape))
+
     def _norm(self, prefix):
         d = self.config.model_dim
-        gain = self.registry[f"{prefix}/gain"] = Tensor(
-            np.ones(d, dtype=self.config.np_dtype), requires_grad=True)
-        bias = self.registry[f"{prefix}/bias"] = Tensor(
-            np.zeros(d, dtype=self.config.np_dtype), requires_grad=True)
-        return gain, bias
+        return (self._register(f"{prefix}/gain", np.ones(d)),
+                self._register(f"{prefix}/bias", np.zeros(d)))
 
     def _mha(self, prefix):
         cfg = self.config
-        d, dk = cfg.model_dim, cfg.model_dim // cfg.heads
-        w = MultiHeadWeights()
-        for i in range(cfg.heads):
-            w.w_q.append(self._param(f"{prefix}/wq{i}", (d, dk), fan_in=d))
-            w.w_k.append(self._param(f"{prefix}/wk{i}", (d, dk), fan_in=d))
-            w.w_v.append(self._param(f"{prefix}/wv{i}", (d, dk), fan_in=d))
-        w.w_o = self._param(f"{prefix}/wo", (d, d), fan_in=d)
-        return w
+        d, h = cfg.model_dim, cfg.heads
+        bound = 1.0 / np.sqrt(d)
+        # drawn per head, q then k then v, each head's D x d_k block becoming
+        # its column block of the D x D projection
+        draws = self._rng.uniform(-bound, bound, size=(h, 3, d, d // h))
+        w_q, w_k, w_v = (self._register(f"{prefix}/{name}",
+                                        draws[:, j].transpose(1, 0, 2).reshape(d, d))
+                         for j, name in enumerate(("wq", "wk", "wv")))
+        return MultiHeadWeights(w_q, w_k, w_v,
+                                self._param(f"{prefix}/wo", (d, d), fan_in=d), heads=h)
 
     def _ffn(self, prefix):
         cfg = self.config
@@ -293,23 +297,22 @@ def _output_head(x, dec_points, weights, config):
 
 
 class DecoderCache:
-    """Decoder keys and values of one rollout, per layer and head.
+    """Decoder keys and values of one rollout, per layer.
 
     The self-attention keys and values of the decoded positions fill
-    N x T_pred x d_k buffers; the cross-attention ones are projected from the
-    encoder latent z once. Built and used without a gradient graph.
+    N x h x T_pred x d_k buffers; the cross-attention ones are projected from
+    the encoder latent z once. Built and used without a gradient graph.
     """
 
     def __init__(self, z, weights, config):
-        shape = (z.shape[0], config.t_pred, config.model_dim // config.heads)
+        h = config.heads
+        shape = (z.shape[0], h, config.t_pred, config.model_dim // h)
         with ad.no_grad():
-            self.cross = [(blocks.project_heads(z, layer["cross"].w_k),
-                           blocks.project_heads(z, layer["cross"].w_v))
+            self.cross = [(blocks.project_heads(z, layer["cross"].w_k, h),
+                           blocks.project_heads(z, layer["cross"].w_v, h))
                           for layer in weights.decoder]
-        self.keys = [[np.empty(shape, config.np_dtype) for _ in range(config.heads)]
-                     for _ in weights.decoder]
-        self.values = [[np.empty(shape, config.np_dtype) for _ in range(config.heads)]
-                       for _ in weights.decoder]
+        self.keys, self.values = ([np.empty(shape, config.np_dtype) for _ in weights.decoder]
+                                  for _ in range(2))
         self.points = np.empty((shape[0], 0, 2))
 
     @property
@@ -317,9 +320,21 @@ class DecoderCache:
         return self.points.shape[1]
 
 
-def _decode_cached(points, weights, config, cache):
-    """Decoder outputs for the positions of points beyond those in cache."""
-    start, t = cache.length, points.shape[1]
+@ad.no_grad()
+def decode_step(partial_outputs, z, scene, weights, config, cache=None):
+    """Next point for every agent given t already-decoded inputs: N x 1 x 2.
+
+    Runs the decoder on the positions not yet in cache (a DecoderCache for z,
+    filled by earlier calls on a prefix of partial_outputs) and adds them to
+    it; without a cache it starts a fresh one. Builds no gradient graph.
+    """
+    points = np.asarray(partial_outputs)
+    t = points.shape[1]
+    if not 1 <= t <= config.t_pred:
+        raise UsageError(f"decode step {t} outside 1..{config.t_pred}")
+    if cache is None:
+        cache = DecoderCache(z, weights, config)
+    start = cache.length
     if t <= start or not np.array_equal(points[:, :start], cache.points):
         raise UsageError(
             f"decode input of {t} positions does not extend the {start} cached ones")
@@ -330,40 +345,20 @@ def _decode_cached(points, weights, config, cache):
     for layer, keys, values, (cross_k, cross_v) in zip(
             weights.decoder, cache.keys, cache.values, cache.cross):
         self_w, cross_w = layer["self_attn"], layer["cross"]
-        for buf, k in zip(keys, blocks.project_heads(x, self_w.w_k)):
-            buf[:, start:t] = k.data
-        for buf, v in zip(values, blocks.project_heads(x, self_w.w_v)):
-            buf[:, start:t] = v.data
-        attn = blocks.attend_heads(blocks.project_heads(x, self_w.w_q),
-                                   [Tensor(buf[:, :t]) for buf in keys],
-                                   [Tensor(buf[:, :t]) for buf in values],
+        h = self_w.heads
+        keys[:, :, start:t] = blocks.project_heads(x, self_w.w_k, h).data
+        values[:, :, start:t] = blocks.project_heads(x, self_w.w_v, h).data
+        attn = blocks.attend_heads(blocks.project_heads(x, self_w.w_q, h),
+                                   Tensor(keys[:, :, :t]), Tensor(values[:, :, :t]),
                                    self_w, mask=mask)
         x = _sublayer(x, attn, layer["self_norm"], config, False, None)
-        cross = blocks.attend_heads(blocks.project_heads(x, cross_w.w_q),
+        cross = blocks.attend_heads(blocks.project_heads(x, cross_w.w_q, h),
                                     cross_k, cross_v, cross_w)
         x = _sublayer(x, cross, layer["cross_norm"], config, False, None)
         x = _sublayer(x, blocks.feed_forward(x, layer["ffn"]),
                       layer["ffn_norm"], config, False, None)
     cache.points = points.copy()
-    return _output_head(x, new, weights, config)
-
-
-def decode_step(partial_outputs, z, scene, weights, config, cache=None):
-    """Next point for every agent given t already-decoded inputs: N x 1 x 2.
-
-    Runs the decoder on the positions not yet in cache (a DecoderCache for z,
-    filled by earlier calls on a prefix of partial_outputs) and adds them to
-    it; without a cache it starts a fresh one. Builds no gradient graph.
-    """
-    partial_outputs = np.asarray(partial_outputs)
-    t = partial_outputs.shape[1]
-    if not 1 <= t <= config.t_pred:
-        raise UsageError(f"decode step {t} outside 1..{config.t_pred}")
-    with ad.no_grad():
-        if cache is None:
-            cache = DecoderCache(z, weights, config)
-        out = _decode_cached(partial_outputs, weights, config, cache)
-    return out.data[:, -1:, :]
+    return _output_head(x, new, weights, config).data[:, -1:, :]
 
 
 def predict(scene, weights, config):
@@ -373,12 +368,10 @@ def predict(scene, weights, config):
         z = encode(scene, weights, config, training=False)
         cache = DecoderCache(z, weights, config)
         buf = scene.observed(config.t_obs)[:, -1:, :].astype(config.np_dtype)
-        outputs = []
         for _ in range(config.t_pred):
-            nxt = decode_step(buf, z, scene, weights, config, cache)
-            outputs.append(nxt)
-            buf = np.concatenate([buf, nxt], axis=1)
-    return np.concatenate(outputs, axis=1)
+            buf = np.concatenate([buf, decode_step(buf, z, scene, weights, config, cache)],
+                                 axis=1)
+    return buf[:, 1:]
 
 
 def teacher_forced_forward(scene, weights, config, training=True, rng=None):

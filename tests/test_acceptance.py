@@ -53,19 +53,15 @@ class TestCriterion1GradientIntegrity:
                                                        sample=sample, rng=rng))
 
         # attention block
-        mw = MultiHeadWeights()
-        for _ in range(2):
-            mw.w_q.append(t64(rng.normal(size=(16, 8)), grad=True))
-            mw.w_k.append(t64(rng.normal(size=(16, 8)), grad=True))
-            mw.w_v.append(t64(rng.normal(size=(16, 8)), grad=True))
-        mw.w_o = t64(rng.normal(size=(16, 16)), grad=True)
+        mw = MultiHeadWeights(*(t64(rng.normal(size=(16, 16)), grad=True)
+                                for _ in range(4)), heads=2)
         x = t64(rng.normal(size=(3, 4, 16)))
 
         def attn_loss(_p):
             out = blocks.multi_head_attention(x, x, mw)
             return ad.mean(ad.mul(out, out))
 
-        for param in mw.w_q + mw.w_k + mw.w_v + [mw.w_o]:
+        for param in (mw.w_q, mw.w_k, mw.w_v, mw.w_o):
             check(attn_loss, param, sample=16)
 
         # feed-forward block

@@ -47,9 +47,19 @@ class TestPrimitives:
             ad.add(t(np.zeros((2, 3))), t(np.zeros((3, 2))))
 
     def test_concat_and_transpose(self):
-        a, b = t([[1.0, 2.0]]), t([[3.0]])
-        np.testing.assert_array_equal(ad.concat_last([a, b]).data, [[1, 2, 3]])
+        a = t([[1.0, 2.0]])
         np.testing.assert_array_equal(ad.transpose(a).data, [[1], [2]])
+        # heads (h x T x d_k) are concatenated along features by an axis
+        # swap and a reshape
+        heads = np.arange(12.0).reshape(2, 3, 2)
+        merged = ad.reshape(ad.transpose(t(heads), 0, 1), (3, 4))
+        np.testing.assert_array_equal(merged.data, np.concatenate(heads, axis=-1))
+
+    def test_matmul_batch_axes_must_match(self):
+        with pytest.raises(ShapeError, match="batch dimensions differ"):
+            ad.matmul(t(np.zeros((2, 3, 4, 5))), t(np.zeros((2, 2, 5, 4))))
+        out = ad.matmul(t(np.ones((2, 3, 4, 5))), t(np.ones((2, 3, 5, 1))))
+        np.testing.assert_array_equal(out.data, np.full((2, 3, 4, 1), 5.0))
 
     def test_rank_limit(self):
         with pytest.raises(ShapeError):
@@ -145,7 +155,6 @@ CHECKING_OPS = {
     "mul": (ad.mul, [(2, 3), (2, 3)]),
     "scalar_mul": (lambda a: ad.scalar_mul(a, 2.0), [(2, 3)]),
     "scalar_mul by zero": (lambda a: ad.scalar_mul(a, 0.0), [(2, 3)]),
-    "concat_last": (lambda a, b: ad.concat_last([a, b]), [(2, 3), (2, 2)]),
     "mean": (ad.mean, [(2, 3)]),
     "mean axis": (lambda a: ad.mean(a, axis=0), [(2, 3)]),
     "layer_norm": (ad.layer_norm, [(2, 3), (3,), (3,)]),
@@ -153,8 +162,8 @@ CHECKING_OPS = {
     "sigmoid": (ad.sigmoid, [(2, 3)]),
     "softmax": (ad.softmax, [(2, 3)]),
 }
-CHECKING_PRIMITIVES = ("matmul", "add", "mul", "scalar_mul", "concat_last", "mean",
-                       "layer_norm", "relu", "sigmoid", "softmax")
+CHECKING_PRIMITIVES = ("matmul", "add", "mul", "scalar_mul", "mean", "layer_norm",
+                       "relu", "sigmoid", "softmax")
 ALL_PRIMITIVES = CHECKING_PRIMITIVES + ("transpose", "reshape", "index",
                                         "scale_channels", "dropout")
 
@@ -269,6 +278,16 @@ class TestBackward:
         with pytest.raises(UsageError):
             ad.backward(t([1.0, 2.0], grad=True))
 
+    def test_only_leaves_keep_grad(self):
+        x = t(np.arange(6.0).reshape(2, 3), grad=True)
+        w = t(np.ones((3, 2)), grad=True)
+        hidden = ad.matmul(x, w)
+        squared = ad.mul(hidden, hidden)
+        loss = ad.mean(squared)
+        ad.backward(loss)
+        assert x.grad is not None and w.grad is not None
+        assert hidden.grad is None and squared.grad is None and loss.grad is None
+
     def test_index_gradient(self):
         x = t(np.arange(5.0), grad=True)
         ad.backward(ad.scalar_mul(ad.mean(ad.index(x, slice(1, 3))), 2.0))
@@ -302,6 +321,15 @@ class TestFiniteDifference:
             return ad.mean(ad.mul(d, d))
 
         assert ad.finite_difference_check(f, x) < 1e-4
+
+    def test_transpose_leading_axes(self):
+        x = t(np.random.default_rng(6).normal(size=(2, 3, 4)), grad=True)
+        weights = t(np.random.default_rng(7).normal(size=(3, 2, 4)))
+
+        def f(p):
+            return ad.mean(ad.mul(ad.transpose(p, 0, 1), weights))
+
+        assert ad.finite_difference_check(f, x, step=1e-5) < 1e-8
 
     def test_bad_step(self):
         with pytest.raises(UsageError):

@@ -13,12 +13,27 @@ def t(x, grad=False):
 
 
 def identity_mha(d):
-    w = MultiHeadWeights()
-    w.w_q = [t(np.eye(d))]
-    w.w_k = [t(np.eye(d))]
-    w.w_v = [t(np.eye(d))]
-    w.w_o = t(np.eye(d))
-    return w
+    return MultiHeadWeights(*(t(np.eye(d)) for _ in range(4)))
+
+
+def random_mha(rng, d, heads):
+    return MultiHeadWeights(*(t(rng.normal(size=(d, d))) for _ in range(4)), heads=heads)
+
+
+def per_head_reference(x_q, x_kv, w, mask=None):
+    """Multi-head attention in plain numpy, one head (column block) at a time."""
+    wq, wk, wv, wo = (p.data for p in (w.w_q, w.w_k, w.w_v, w.w_o))
+    d_k = wq.shape[1] // w.heads
+    heads = []
+    for i in range(w.heads):
+        cols = slice(i * d_k, (i + 1) * d_k)
+        q, k, v = x_q @ wq[:, cols], x_kv @ wk[:, cols], x_kv @ wv[:, cols]
+        scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(d_k)
+        if mask is not None:
+            scores = np.where(mask, scores, blocks.MASK_FILL)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        heads.append(e / e.sum(axis=-1, keepdims=True) @ v)
+    return np.concatenate(heads, axis=-1) @ wo
 
 
 class TestScaledDotAttention:
@@ -90,30 +105,41 @@ class TestMultiHead:
         with pytest.raises(ShapeError, match="feature dim 3"):
             blocks.multi_head_attention(x, x, identity_mha(3))
 
+    def test_heads_must_divide_feature_dim(self):
+        w = random_mha(np.random.default_rng(3), 8, heads=3)
+        x = t(np.zeros((5, 8)))
+        with pytest.raises(ShapeError, match="3 heads do not divide feature dim 8"):
+            blocks.multi_head_attention(x, x, w)
+
     def test_shape_preserved(self):
         rng = np.random.default_rng(3)
-        w = MultiHeadWeights()
-        for _ in range(4):
-            w.w_q.append(t(rng.normal(size=(16, 4))))
-            w.w_k.append(t(rng.normal(size=(16, 4))))
-            w.w_v.append(t(rng.normal(size=(16, 4))))
-        w.w_o = t(rng.normal(size=(16, 16)))
+        w = random_mha(rng, 16, heads=4)
         x = t(rng.normal(size=(15, 16)))
         assert blocks.multi_head_attention(x, x, w).shape == (15, 16)
 
     def test_batched_matches_per_channel(self):
         rng = np.random.default_rng(4)
-        w = MultiHeadWeights()
-        for _ in range(2):
-            w.w_q.append(t(rng.normal(size=(8, 4))))
-            w.w_k.append(t(rng.normal(size=(8, 4))))
-            w.w_v.append(t(rng.normal(size=(8, 4))))
-        w.w_o = t(rng.normal(size=(8, 8)))
+        w = random_mha(rng, 8, heads=2)
         x = rng.normal(size=(3, 6, 8))
         batched = blocks.multi_head_attention(t(x), t(x), w).data
         for c in range(3):
             single = blocks.multi_head_attention(t(x[c]), t(x[c]), w).data
             np.testing.assert_allclose(batched[c], single, atol=1e-10)
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["rank2", "rank3"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
+    def test_matches_per_head_reference(self, lead, masked):
+        rng = np.random.default_rng(5)
+        w = random_mha(rng, 12, heads=3)
+        x_q = rng.normal(size=lead + (4, 12))
+        x_kv = rng.normal(size=lead + (6, 12))
+        mask = None
+        if masked:
+            mask = rng.random((4, 6)) < 0.5
+            mask[:, 0] = True
+        out = blocks.multi_head_attention(t(x_q), t(x_kv), w, mask=mask)
+        np.testing.assert_allclose(out.data, per_head_reference(x_q, x_kv, w, mask),
+                                   rtol=0, atol=1e-12)
 
 
 class TestFeedForward:

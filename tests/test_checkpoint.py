@@ -154,6 +154,57 @@ class TestModelCheckpoint:
         assert keys == list(config_mod.MODEL_SCHEMA)
 
 
+def per_head_state(weights):
+    """The state dict in the layout of checkpoints that stored one tensor per
+    head: .../wq0, wk0, wv0, wq1, ... in draw order, then .../wo."""
+    heads = weights.config.heads
+    state = {}
+    for name, arr in weights.state_dict().items():
+        prefix, kind = name.rsplit("/", 1)
+        if kind in ("wk", "wv"):
+            continue
+        if kind == "wq":
+            split = {proj: np.split(weights.registry[f"{prefix}/{proj}"].data, heads, axis=1)
+                     for proj in ("wq", "wk", "wv")}
+            for i in range(heads):
+                for proj in ("wq", "wk", "wv"):
+                    state[f"{prefix}/{proj}{i}"] = split[proj][i]
+            continue
+        state[name] = arr
+    return state
+
+
+class TestPerHeadCheckpoint:
+    def make_checkpoint(self, tmp_path):
+        cfg = ModelConfig(seed=3, **{**TOY_DIMS, "dtype": "float32", "heads": 4})
+        weights = ModelWeights(cfg)
+        path = tmp_path / "model.sctn"
+        checkpoint.save_model_checkpoint(path, weights)
+        return cfg, weights, path
+
+    def test_loads_and_predicts_identically(self, tmp_path):
+        cfg, weights, path = self.make_checkpoint(tmp_path)
+        state = per_head_state(weights)
+        assert "enc0/attn/wq3" in state and "enc0/attn/wq" not in state
+        checkpoint.save_tensors(path, state)
+        loaded = checkpoint.load_model_checkpoint(path)
+        for name, arr in weights.state_dict().items():
+            np.testing.assert_array_equal(loaded.registry[name].data, arr)
+        sample = data_mod.synthesize_scenes(1, "turn", seed=5, n_agents=cfg.n_agents)[0]
+        scene = model.Scene(positions=sample.scene.positions[:, :cfg.t_obs + cfg.t_pred],
+                            channel_mask=sample.scene.channel_mask)
+        np.testing.assert_array_equal(predict(scene, weights, cfg),
+                                      predict(scene, loaded, cfg))
+
+    def test_missing_head_is_data_error(self, tmp_path):
+        _, weights, path = self.make_checkpoint(tmp_path)
+        state = per_head_state(weights)
+        del state["dec0/cross/wk2"]
+        checkpoint.save_tensors(path, state)
+        with pytest.raises(DataError, match="missing parameter dec0/cross/wk2"):
+            checkpoint.load_model_checkpoint(path)
+
+
 class TestSegmentCache:
     def make_split(self):
         samples = data_mod.synthesize_scenes(6, "linear", seed=2)
@@ -182,6 +233,29 @@ class TestSegmentCache:
         text = (tmp_path / "cache.sctn.manifest").read_text()
         for name in ("train", "validation", "test"):
             assert f"segments {name}: {len(getattr(split, name))}" in text
+
+    @pytest.mark.parametrize("entry, corrupt, message", [
+        ("meta", lambda m: np.concatenate([m[:5], [7.0], m[6:]]), "split code 7 "),
+        ("mask", None, "no entry 'segment/00001/mask'"),
+        ("meta", None, "no entry 'segment/00001/meta'"),
+        ("meta", lambda m: np.concatenate([[99.0], m[1:]]), "target channel 99 must be"),
+        ("mask", lambda m: m[:-1], r"positions of shape \(3, 40, 2\) and mask of shape \(2,\)"),
+        ("positions", lambda p: p[..., :1], r"positions of shape \(3, 40, 1\)"),
+        ("meta", lambda m: m[:6], "meta must hold 7"),
+    ], ids=["split-code", "no-mask", "no-meta", "target-index", "mask-length",
+            "positions-shape", "meta-length"])
+    def test_corrupt_segment_names_it(self, tmp_path, entry, corrupt, message):
+        path = tmp_path / "cache.sctn"
+        checkpoint.save_segment_cache(path, self.make_split())
+        tensors = checkpoint.load_tensors(path)
+        key = f"segment/00001/{entry}"
+        if corrupt is None:
+            del tensors[key]
+        else:
+            tensors[key] = corrupt(tensors[key])
+        checkpoint.save_tensors(path, tensors)
+        with pytest.raises(DataError, match=f"cache.sctn: segment 1: {message}"):
+            checkpoint.load_segment_cache(path)
 
     def test_empty_cache_rejected(self, tmp_path):
         path = tmp_path / "cache.sctn"

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import sctn
+from sctn import autodiff as ad
 from sctn import checkpoint, model
 from sctn import data as data_mod
 from sctn.cli import main
@@ -117,6 +118,29 @@ class TestPipeline:
     def test_gradcheck_passes(self, tmp_path, capsys):
         assert run(["gradcheck", "--out", tmp_path / "gc", "--seed", 0]) == 0
         assert "max relative gradient error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_gradcheck_passes_across_seeds(self, tmp_path, seed):
+        # a finite-difference step that straddles a ReLU kink would fail here
+        assert run(["gradcheck", "--out", tmp_path / "gc", "--seed", seed]) == 0
+
+    def test_gradcheck_catches_planted_gradient_error(self, tmp_path, capsys,
+                                                      monkeypatch):
+        matmul = ad.matmul
+
+        def planted(a, b):
+            out = matmul(a, b)
+            backward_fn = out._backward_fn
+            if backward_fn is not None:
+                def off_by_one_percent():
+                    out.grad = out.grad * 1.01
+                    backward_fn()
+                out._backward_fn = off_by_one_percent
+            return out
+
+        monkeypatch.setattr(ad, "matmul", planted)
+        assert run(["gradcheck", "--out", tmp_path / "gc", "--seed", 0]) == 3
+        assert "gradient check failed" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -267,6 +291,51 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "model.sctn.config" in err
         assert names in err
+
+    @pytest.mark.parametrize("line, key", [
+        ("batch_size = 0", "batch_size"),
+        ("stride = 0", "stride"),
+        ("synth_count = 0", "synth_count"),
+        ("synth_agents = 0", "synth_agents"),
+        ("ablation_neighbors =", "ablation_neighbors"),
+        ("ablation_neighbors = 5,x", "ablation_neighbors"),
+        ("ablation_neighbors = 5,0", "ablation_neighbors"),
+    ])
+    def test_run_key_out_of_range_is_usage_error(self, tmp_path, small_cfg, capsys,
+                                                 line, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(SMALL_CFG + line + "\n")
+        assert run(["synth", "--config", cfg, "--out", tmp_path / "s"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and key in err
+
+    def test_zero_batch_flag_is_usage_error(self, tmp_path, small_cfg, capsys):
+        cache = synth(tmp_path, small_cfg)
+        assert run(["train", "--config", small_cfg, "--data", cache, "--batch", "0",
+                    "--out", tmp_path / "t"]) == 1
+        assert "batch_size must be >= 1" in capsys.readouterr().err
+
+    def test_corrupt_segment_is_data_error(self, tmp_path, small_cfg, capsys):
+        cache = synth(tmp_path, small_cfg)
+        tensors = checkpoint.load_tensors(cache)
+        tensors["segment/00002/meta"][5] = 7.0
+        checkpoint.save_tensors(cache, tensors)
+        assert run(["train", "--config", small_cfg, "--data", cache,
+                    "--out", tmp_path / "t"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "segment 2: split code 7" in err
+
+    def test_missing_head_of_per_head_checkpoint_is_data_error(self, tmp_path, small_cfg,
+                                                               capsys):
+        cache, ckpt = untrained_checkpoint(tmp_path, small_cfg)
+        tensors = checkpoint.load_tensors(ckpt)
+        w_q = tensors.pop("enc0/attn/wq")
+        tensors["enc0/attn/wq0"] = w_q[:, :8]
+        checkpoint.save_tensors(ckpt, tensors)
+        assert run(["evaluate", "--config", small_cfg, "--data", cache,
+                    "--checkpoint", ckpt, "--out", tmp_path / "e"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "enc0/attn/wq1" in err
 
     @pytest.mark.parametrize("line", ["se_reduction = 0", "heads = 0",
                                       "model_dim = -512\nheads = -8",

@@ -288,7 +288,7 @@ class TestGradients:
             return ad.mean(model.encode(scene, weights, cfg))
 
         rng = np.random.default_rng(1)
-        for name in ("embed/w", "se_enc/w1", "enc0/attn/wq0", "enc0/ffn/w1"):
+        for name in ("embed/w", "se_enc/w1", "enc0/attn/wq", "enc0/ffn/w1"):
             err = finite_difference_check(f, weights.registry[name],
                                           sample=6, rng=rng)
             assert err < 1e-4, name
@@ -302,6 +302,34 @@ def test_checkpoint_state_roundtrip():
     scene = toy_scene(cfg)
     np.testing.assert_array_equal(model.predict(scene, weights, cfg),
                                   model.predict(scene, other, cfg))
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("profile", ["desk", "paper"])
+def test_seeded_weights_replay_per_head_draws(profile, dtype):
+    # every 2-D weight is drawn uniform(+-1/sqrt(rows)) in registry order,
+    # except that each attention draws D x d_k blocks head by head, q, k, v
+    # of head 0 first; the blocks are the columns of wq, wk and wv
+    cfg = model.config_for_profile(profile, dtype=dtype, layers=1, seed=7)
+    weights = ModelWeights(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    d, d_k = cfg.model_dim, cfg.model_dim // cfg.heads
+    for name, param in weights.registry.items():
+        prefix, kind = name.rsplit("/", 1)
+        if param.ndim == 1 or kind in ("wk", "wv"):
+            continue
+        if kind == "wq":
+            bound = 1.0 / np.sqrt(d)
+            draws = [[rng.uniform(-bound, bound, size=(d, d_k)) for _ in "qkv"]
+                     for _ in range(cfg.heads)]
+            for j, proj in enumerate(("wq", "wk", "wv")):
+                expected = np.concatenate([head[j] for head in draws], axis=1)
+                np.testing.assert_array_equal(weights.registry[f"{prefix}/{proj}"].data,
+                                              expected.astype(cfg.np_dtype))
+            continue
+        bound = 1.0 / np.sqrt(param.shape[0])
+        expected = rng.uniform(-bound, bound, size=param.shape)
+        np.testing.assert_array_equal(param.data, expected.astype(cfg.np_dtype))
 
 
 def test_registry_names_unique_and_ordered():
