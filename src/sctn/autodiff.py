@@ -25,6 +25,8 @@ from .errors import ConfigError, NumericError, ShapeError, UsageError
 
 MAX_RANK = 4
 
+LAYER_NORM_EPS = 1e-5
+
 _FLOAT_DTYPES = (np.float32, np.float64)
 
 _grad_enabled = True
@@ -248,18 +250,6 @@ def reshape(a, shape):
     return _link(out, lambda: _acc(a, out.grad.reshape(a.shape)))
 
 
-def index(a, key):
-    """Basic slicing; gradient scatters back into the sliced positions."""
-    out = _make(a.data[key], (a,))
-
-    def backward_fn():
-        g = np.zeros_like(a.data)
-        np.add.at(g, key, out.grad)
-        _acc(a, g)
-
-    return _link(out, backward_fn)
-
-
 def scale_channels(a, s):
     """Multiply channel c of a (C x ... ) by scalar s[c]."""
     if s.ndim != 1 or s.shape[0] != a.shape[0]:
@@ -274,33 +264,33 @@ def scale_channels(a, s):
     return _link(out, backward_fn)
 
 
-def softmax(a, axis=-1):
-    """Numerically stable softmax along one axis (max subtraction)."""
+def softmax(a):
+    """Numerically stable softmax along the last axis (max subtraction)."""
     _require_finite("softmax input", a.data)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
     out = _make(s, (a,))
 
     def backward_fn():
         g = out.grad
-        dot = (g * s).sum(axis=axis, keepdims=True)
+        dot = (g * s).sum(axis=-1, keepdims=True)
         _acc(a, s * (g - dot))
 
     return _link(out, backward_fn)
 
 
-def layer_norm(x, gain, bias, epsilon=1e-5):
+def layer_norm(x, gain, bias):
     """Normalize last-axis slices to zero mean / unit variance, then affine.
 
-    Zero-variance slices come out as the bias (variance floor epsilon).
+    Zero-variance slices come out as the bias (variance floor LAYER_NORM_EPS).
     """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm affine params must have shape ({d},)")
     mu = x.data.mean(axis=-1, keepdims=True)
     var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + epsilon)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = (x.data - mu) * inv
     out_data = xhat * gain.data + bias.data
     _require_finite("layer_norm output", out_data)

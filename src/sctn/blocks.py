@@ -62,7 +62,7 @@ def scaled_dot_attention(q, k, v, mask=None):
     if mask is not None:
         fill = np.broadcast_to(_mask_fill(mask, scores.dtype), scores.shape)
         scores = ad.add(scores, Tensor(fill))
-    weights = ad.softmax(scores, axis=-1)
+    weights = ad.softmax(scores)
     return ad.matmul(weights, v)
 
 

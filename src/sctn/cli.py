@@ -26,47 +26,33 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# argparse settings of each flag; _SUBCOMMANDS, after the commands, says
+# which subcommands register it
+_FLAG_ARGS = {
+    "data": dict(type=Path, required=True, help="input CSV (prepare) or segment cache"),
+    "seed": dict(type=int, help="master random seed"),
+    "profile": dict(choices=("desk", "paper")),
+    "neighbors": dict(type=int, help="agent channel count N"),
+    "se": dict(choices=("on", "off"), help="channel attention toggle"),
+    "epochs": dict(type=int),
+    "batch": dict(type=int),
+    "count": dict(type=int),
+    "kind": dict(choices=("linear", "turn", "interaction")),
+    "units": dict(choices=("feet", "meters")),
+    "checkpoint": dict(type=Path, required=True),
+    "segment": dict(type=int, default=0),
+}
+
+
 def _build_parser():
     parser = _Parser(prog="sctn", description="trajectory prediction toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, data_required=False):
+    for command, (_, help_text, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", type=Path, help="key = value config file")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-        p.add_argument("--seed", type=int, help="master random seed")
-        p.add_argument("--profile", choices=("desk", "paper"))
-        p.add_argument("--neighbors", type=int, help="agent channel count N")
-        p.add_argument("--se", choices=("on", "off"), help="channel attention toggle")
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch", type=int)
-        if data_required is not None:
-            p.add_argument("--data", type=Path, required=data_required,
-                           help="input CSV (prepare) or segment cache")
-        return p
-
-    p = common(sub.add_parser("synth", help="generate a synthetic segment cache"))
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--kind", choices=("linear", "turn", "interaction"), default=None)
-
-    p = common(sub.add_parser("prepare", help="CSV track log -> segment cache"),
-               data_required=True)
-    p.add_argument("--units", choices=("feet", "meters"))
-
-    common(sub.add_parser("train", help="train on a segment cache"), data_required=True)
-
-    p = common(sub.add_parser("evaluate", help="metrics report on the test split"),
-               data_required=True)
-    p.add_argument("--checkpoint", type=Path, required=True)
-
-    p = common(sub.add_parser("predict", help="dump trajectories for one segment"),
-               data_required=True)
-    p.add_argument("--checkpoint", type=Path, required=True)
-    p.add_argument("--segment", type=int, default=0)
-
-    common(sub.add_parser("ablate", help="neighbour x SE ablation grid"),
-           data_required=True)
-
-    common(sub.add_parser("gradcheck", help="finite-difference gradient check"))
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAG_ARGS[flag])
     return parser
 
 
@@ -123,9 +109,21 @@ def _infer_n_agents(split):
     return n_agents
 
 
+def _echo(args, cfg):
+    (args.out / "config.txt").write_text(config_mod.echo(cfg))
+
+
+def _echo_model(args, cfg, mcfg):
+    """Rewrite the echo with the model keys the command took from its input."""
+    cfg.update((key, getattr(mcfg, key)) for key in config_mod.MODEL_SCHEMA)
+    _echo(args, cfg)
+
+
 def _cmd_train(args, cfg):
     split = checkpoint.load_segment_cache(args.data)
-    mcfg = config_mod.model_config_from(cfg, n_agents=_infer_n_agents(split))
+    cfg["n_agents"] = _infer_n_agents(split)
+    _echo(args, cfg)
+    mcfg = config_mod.model_config_from(cfg)
     weights = model.ModelWeights(mcfg)
     result = optim.train(split.train, split.validation, weights, mcfg,
                          epochs=cfg["epochs"], batch_size=cfg["batch_size"],
@@ -148,11 +146,12 @@ def _cmd_train(args, cfg):
 def _cmd_evaluate(args, cfg):
     split = checkpoint.load_segment_cache(args.data)
     weights = checkpoint.load_model_checkpoint(args.checkpoint)
+    _echo_model(args, cfg, weights.config)
     if not split.test:
         raise DataError(f"the test split of {args.data} is empty; "
                         f"evaluate scores held-out segments only")
     report = metrics.evaluate(weights, split.test, weights.config)
-    csv_text = report.to_csv(include_reference=True)
+    csv_text = report.to_csv()
     (args.out / "metrics.csv").write_text(csv_text)
     print(csv_text, end="")
     return 0
@@ -165,6 +164,7 @@ def _cmd_predict(args, cfg):
         raise UsageError(f"--segment {args.segment} outside 0..{len(samples) - 1}")
     weights = checkpoint.load_model_checkpoint(args.checkpoint)
     mcfg = weights.config
+    _echo_model(args, cfg, mcfg)
     sample = samples[args.segment]
     scene = sample.scene
     pred = model.predict(scene, weights, mcfg)
@@ -227,14 +227,19 @@ def _cmd_gradcheck(args, cfg):
     return 0
 
 
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "prepare": _cmd_prepare,
-    "train": _cmd_train,
-    "evaluate": _cmd_evaluate,
-    "predict": _cmd_predict,
-    "ablate": _cmd_ablate,
-    "gradcheck": _cmd_gradcheck,
+# subcommand -> (function, help, the flags it reads besides --config and --out)
+_SUBCOMMANDS = {
+    "synth": (_cmd_synth, "generate a synthetic segment cache", ("seed", "count", "kind")),
+    "prepare": (_cmd_prepare, "CSV track log -> segment cache",
+                ("data", "seed", "neighbors", "units")),
+    "train": (_cmd_train, "train on a segment cache",
+              ("data", "seed", "profile", "se", "epochs", "batch")),
+    "evaluate": (_cmd_evaluate, "metrics report on the test split", ("data", "checkpoint")),
+    "predict": (_cmd_predict, "dump trajectories for one segment",
+                ("data", "checkpoint", "segment")),
+    "ablate": (_cmd_ablate, "neighbour x SE ablation grid",
+               ("data", "seed", "profile", "batch")),
+    "gradcheck": (_cmd_gradcheck, "finite-difference gradient check", ("seed",)),
 }
 
 
@@ -250,8 +255,8 @@ def main(argv=None):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             cfg = _resolve(args)
             args.out.mkdir(parents=True, exist_ok=True)
-            (args.out / "config.txt").write_text(config_mod.echo(cfg))
-            return _COMMANDS[args.command](args, cfg)
+            _echo(args, cfg)
+            return _SUBCOMMANDS[args.command][0](args, cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

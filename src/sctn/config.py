@@ -4,14 +4,17 @@ One schema covers model, training, data and ablation settings. Its model keys,
 their types and defaults are the fields of ``model.ModelConfig``; the rest are
 listed here. A config resolves in layers: schema defaults, then the profile's
 values from ``model.PROFILES``, then the config file, then explicit flags.
-Unknown keys are rejected, and the fully resolved config is echoed into every
-output directory so a run can always be reproduced from its artifacts.
+Unknown keys are rejected, as are t_obs and t_pred other than the window the
+data pipeline cuts. The fully resolved config is echoed into every output
+directory, with the model keys a command took from its cache or checkpoint,
+so a run can always be reproduced from its artifacts.
 """
 from __future__ import annotations
 
 from dataclasses import fields
 from typing import get_type_hints
 
+from .data import T_OBS, T_PRED
 from .errors import ConfigError
 from .model import PROFILES, ModelConfig
 
@@ -91,6 +94,9 @@ def resolve(file_values=None, overrides=None):
     cfg = {key: default for key, (_, default) in SCHEMA.items()}
     for layer in (PROFILES[profile], file_values, flags):
         cfg.update(layer)
+    if (cfg["t_obs"], cfg["t_pred"]) != (T_OBS, T_PRED):
+        raise ConfigError(f"t_obs = {cfg['t_obs']}, t_pred = {cfg['t_pred']}: the data "
+                          f"pipeline cuts windows of t_obs = {T_OBS}, t_pred = {T_PRED}")
     if cfg["units"] not in ("feet", "meters"):
         raise ConfigError(f"units must be feet or meters, got {cfg['units']!r}")
     for key in ("batch_size", "stride", "synth_count", "synth_agents"):

@@ -16,36 +16,16 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, DataError
 
-DEFAULT_T_MAX = 64
-
 
 def positional_encoding(t, model_dim):
-    """Sinusoid row for timestep t (>= 0) as a length-D numpy vector."""
-    if t < 0:
+    """Sinusoid rows for timesteps t (>= 0): a length-D vector for an int t,
+    a ... x D array for an array of timesteps."""
+    t = np.asarray(t, dtype=np.float64)
+    if (t < 0).any():
         raise ConfigError("timestep index must be >= 0")
     d = np.arange(1, model_dim + 1, dtype=np.float64)
-    angle = t / np.power(10000.0, d / model_dim)
+    angle = t[..., None] / np.power(10000.0, d / model_dim)
     return np.where(d % 2 == 0, np.sin(angle), np.cos(angle))
-
-
-@dataclass
-class PositionalTable:
-    """Precomputed sinusoid rows; extended on demand when t outgrows it."""
-    table: np.ndarray  # T_max x D
-
-    @classmethod
-    def build(cls, model_dim, t_max=DEFAULT_T_MAX):
-        rows = np.stack([positional_encoding(t, model_dim) for t in range(t_max)])
-        return cls(table=rows)
-
-    def rows(self, start, count):
-        if start + count > self.table.shape[0]:
-            extra = np.stack([
-                positional_encoding(t, self.table.shape[1])
-                for t in range(self.table.shape[0], start + count)
-            ])
-            self.table = np.concatenate([self.table, extra])
-        return self.table[start:start + count]
 
 
 @dataclass
@@ -65,12 +45,13 @@ def embed_trajectory(points, weights):
 def compose_input(points, weights, table, start_t=0, dtype=np.float64):
     """Embed an N x T x 2 scene and add the position row for each timestep.
 
-    The same row P^t goes to every agent channel; start_t offsets the
-    timestep index (decoder-side sequences continue from T_obs).
+    table holds the rows of positional_encoding from timestep 0 on. The same
+    row P^t goes to every agent channel; start_t offsets the timestep index
+    (decoder-side sequences continue from T_obs).
     """
     points = np.asarray(points)
     n, t = points.shape[0], points.shape[1]
     emb = embed_trajectory(Tensor(points.astype(dtype)), weights)
-    pos = table.rows(start_t, t).astype(dtype)
+    pos = table[start_t:start_t + t].astype(dtype)
     pos_block = Tensor(np.broadcast_to(pos[None, :, :], (n, t, pos.shape[1])).copy())
     return ad.add(emb, pos_block)

@@ -55,8 +55,6 @@ def rmse(pred, truth, channel_mask, horizon_frames):
 class MetricsReport:
     """Per-horizon rows (seconds, ADE, FDE, RMSE), all in metres."""
     rows: list = field(default_factory=list)
-    sample_count: int = 0
-    config_fingerprint: str = ""
 
     def validate(self):
         for row in self.rows:
@@ -66,63 +64,39 @@ class MetricsReport:
                     raise UsageError(f"invalid metric value {key}={v}")
         return True
 
-    def to_csv(self, include_reference=True):
+    def to_csv(self):
+        """The rows, then the published reference row as a comment."""
         lines = ["horizon_s,ade_m,fde_m,rmse_m"]
         for row in self.rows:
             lines.append(f"{row['horizon_s']},{row['ade']:.6f},"
                          f"{row['fde']:.6f},{row['rmse']:.6f}")
-        if include_reference:
-            ref = REFERENCE_RESULT_5S
-            lines.append(f"# reference (published result, for comparison only): "
-                         f"5s ADE {ref['ade']:.2f} / FDE {ref['fde']:.2f} / "
-                         f"RMSE {ref['rmse']:.2f}")
+        ref = REFERENCE_RESULT_5S
+        lines.append(f"# reference (published result, for comparison only): "
+                     f"5s ADE {ref['ade']:.2f} / FDE {ref['fde']:.2f} / "
+                     f"RMSE {ref['rmse']:.2f}")
         return "\n".join(lines) + "\n"
 
 
-def horizon_monotonicity_flags(report):
-    """Horizons where a metric decreased relative to the previous one.
-
-    On simple drifting scenes the error usually grows with the horizon, but
-    nothing enforces it; violations are flagged for inspection, not errors.
-    """
-    flags = []
-    for key in ("ade", "fde", "rmse"):
-        for prev, cur in zip(report.rows, report.rows[1:]):
-            if cur[key] < prev[key] - 1e-12:
-                flags.append((key, cur["horizon_s"]))
-    return flags
-
-
 def evaluate(weights, samples, config):
-    """Predict every segment and pool the three metrics per horizon."""
+    """Predict every segment and pool the three metrics per horizon over the
+    real agents of all segments."""
     if not samples:
         raise UsageError("evaluate requires a non-empty test split")
     horizons = [s for s in HORIZON_SECONDS if s * FRAMES_PER_SECOND <= config.t_pred]
-    sums = {h: dict(dist=0.0, sq=0.0, final=0.0, n_points=0, n_agents=0)
-            for h in horizons}
+    dists = []
     for sample in samples:
         scene = sample.scene
         pred = predict(scene, weights, config)
         truth = scene.future(config.t_obs)
-        pred_abs = data_mod.denormalize_points(pred, scene.origin)
-        truth_abs = data_mod.denormalize_points(truth, scene.origin)
-        for h in horizons:
-            frames = h * FRAMES_PER_SECOND
-            d = _distances(pred_abs, truth_abs, scene.channel_mask, frames)
-            acc = sums[h]
-            acc["dist"] += d.sum()
-            acc["sq"] += (d ** 2).sum()
-            acc["final"] += d[:, -1].sum()
-            acc["n_points"] += d.size
-            acc["n_agents"] += d.shape[0]
+        dists.append(_distances(data_mod.denormalize_points(pred, scene.origin),
+                                data_mod.denormalize_points(truth, scene.origin),
+                                scene.channel_mask, config.t_pred))
+    d_all = np.concatenate(dists)  # real agents of every segment x T_pred
     rows = []
     for h in horizons:
-        acc = sums[h]
-        rows.append(dict(horizon_s=h,
-                         ade=acc["dist"] / acc["n_points"],
-                         fde=acc["final"] / acc["n_agents"],
-                         rmse=float(np.sqrt(acc["sq"] / acc["n_points"]))))
-    report = MetricsReport(rows=rows, sample_count=len(samples),
-                           config_fingerprint=config.fingerprint())
+        d = d_all[:, :h * FRAMES_PER_SECOND]
+        rows.append(dict(horizon_s=h, ade=float(d.mean()), fde=float(d[:, -1].mean()),
+                         rmse=float(np.sqrt((d ** 2).mean()))))
+    report = MetricsReport(rows=rows)
     report.validate()
     return report

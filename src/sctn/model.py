@@ -68,11 +68,6 @@ class ModelConfig:
     def np_dtype(self):
         return np.float32 if self.dtype == "float32" else np.float64
 
-    def fingerprint(self):
-        return (f"N{self.n_agents}_T{self.t_obs}+{self.t_pred}_D{self.model_dim}"
-                f"_h{self.heads}_L{self.layers}_se{int(self.se_enabled)}"
-                f"r{self.se_reduction}_seed{self.seed}")
-
 
 # applied over the ModelConfig defaults, before a config file and flags
 PROFILES = {
@@ -132,9 +127,8 @@ class ModelWeights:
     def __init__(self, config):
         self.config = config
         self.registry = {}
-        self.table = embedding.PositionalTable.build(
-            config.model_dim, t_max=max(embedding.DEFAULT_T_MAX,
-                                        config.t_obs + config.t_pred + 1))
+        self.table = embedding.positional_encoding(
+            np.arange(config.t_obs + config.t_pred), config.model_dim)
         self._rng = np.random.default_rng(config.seed)
         self._build()
 
@@ -270,7 +264,7 @@ def encode(scene, weights, config, training=False, rng=None):
     return x
 
 
-def _decode_sequence(dec_points, z, scene, weights, config, training=False, rng=None):
+def _decode_sequence(dec_points, z, weights, config, training=False, rng=None):
     """Run the decoder stack over a (possibly partial) input sequence.
 
     dec_points: N x t x 2 (seed token first); returns N x t x 2 outputs.
@@ -321,36 +315,34 @@ class DecoderCache:
 
 
 @ad.no_grad()
-def decode_step(partial_outputs, z, scene, weights, config, cache=None):
+def decode_step(partial_outputs, weights, config, cache):
     """Next point for every agent given t already-decoded inputs: N x 1 x 2.
 
-    Runs the decoder on the positions not yet in cache (a DecoderCache for z,
-    filled by earlier calls on a prefix of partial_outputs) and adds them to
-    it; without a cache it starts a fresh one. Builds no gradient graph.
+    partial_outputs extends the points in cache (a DecoderCache, filled by
+    earlier calls) by exactly one position; the decoder runs on that position
+    only and adds its keys and values to the cache. Builds no gradient graph.
     """
     points = np.asarray(partial_outputs)
     t = points.shape[1]
     if not 1 <= t <= config.t_pred:
         raise UsageError(f"decode step {t} outside 1..{config.t_pred}")
-    if cache is None:
-        cache = DecoderCache(z, weights, config)
     start = cache.length
-    if t <= start or not np.array_equal(points[:, :start], cache.points):
+    if t != start + 1 or not np.array_equal(points[:, :start], cache.points):
         raise UsageError(
-            f"decode input of {t} positions does not extend the {start} cached ones")
+            f"decode input of {t} positions does not extend the {start} cached ones "
+            f"by one")
     new = points[:, start:]
     x = _embed(new, weights, start_t=config.t_obs + start)
-    # a single new position may attend to every cached one
-    mask = blocks.causal_mask(t)[start:] if t - start > 1 else None
     for layer, keys, values, (cross_k, cross_v) in zip(
             weights.decoder, cache.keys, cache.values, cache.cross):
         self_w, cross_w = layer["self_attn"], layer["cross"]
         h = self_w.heads
         keys[:, :, start:t] = blocks.project_heads(x, self_w.w_k, h).data
         values[:, :, start:t] = blocks.project_heads(x, self_w.w_v, h).data
+        # the new position attends to every cached one, so it needs no mask
         attn = blocks.attend_heads(blocks.project_heads(x, self_w.w_q, h),
                                    Tensor(keys[:, :, :t]), Tensor(values[:, :, :t]),
-                                   self_w, mask=mask)
+                                   self_w)
         x = _sublayer(x, attn, layer["self_norm"], config, False, None)
         cross = blocks.attend_heads(blocks.project_heads(x, cross_w.w_q, h),
                                     cross_k, cross_v, cross_w)
@@ -358,7 +350,7 @@ def decode_step(partial_outputs, z, scene, weights, config, cache=None):
         x = _sublayer(x, blocks.feed_forward(x, layer["ffn"]),
                       layer["ffn_norm"], config, False, None)
     cache.points = points.copy()
-    return _output_head(x, new, weights, config).data[:, -1:, :]
+    return _output_head(x, new, weights, config).data
 
 
 def predict(scene, weights, config):
@@ -369,8 +361,7 @@ def predict(scene, weights, config):
         cache = DecoderCache(z, weights, config)
         buf = scene.observed(config.t_obs)[:, -1:, :].astype(config.np_dtype)
         for _ in range(config.t_pred):
-            buf = np.concatenate([buf, decode_step(buf, z, scene, weights, config, cache)],
-                                 axis=1)
+            buf = np.concatenate([buf, decode_step(buf, weights, config, cache)], axis=1)
     return buf[:, 1:]
 
 
@@ -387,5 +378,5 @@ def teacher_forced_forward(scene, weights, config, training=True, rng=None):
     obs = scene.observed(config.t_obs)
     future = scene.future(config.t_obs)
     dec_in = np.concatenate([obs[:, -1:, :], future[:, :-1, :]], axis=1)
-    return _decode_sequence(dec_in.astype(config.np_dtype), z, scene, weights,
-                            config, training=training, rng=rng)
+    return _decode_sequence(dec_in.astype(config.np_dtype), z, weights, config,
+                            training=training, rng=rng)

@@ -34,26 +34,32 @@ def l2_loss(pred, target, channel_mask):
     return ad.scalar_mul(total, float(np.prod(pred.shape)))
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimizerState:
-    """Adam moments, step counter and hyperparameters."""
+    """Adam learning rate, moments and step counter."""
     lr: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
 
 
-def adam_init(params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
-    return OptimizerState(lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                          m=[np.zeros_like(p.data) for p in params],
+def adam_init(params, lr=0.01):
+    return OptimizerState(lr=lr, m=[np.zeros_like(p.data) for p in params],
                           v=[np.zeros_like(p.data) for p in params])
 
 
 def adam_step(params, state):
-    """Bias-corrected Adam update in place; gradients are zeroed afterwards."""
+    """Bias-corrected Adam update in place; gradients are zeroed afterwards.
+
+    Each updated parameter is checked once: NumericError names the step when
+    its squared norm is not finite in its dtype. That holds for every NaN or
+    inf, and for values so large that the next product with them overflows.
+    """
     state.step_count += 1
     t = state.step_count
     for i, p in enumerate(params):
@@ -62,11 +68,14 @@ def adam_step(params, state):
             continue
         if g.shape != state.m[i].shape:
             raise ShapeError(f"gradient shape {g.shape} vs moment {state.m[i].shape}")
-        state.m[i] = state.beta1 * state.m[i] + (1 - state.beta1) * g
-        state.v[i] = state.beta2 * state.v[i] + (1 - state.beta2) * g * g
-        m_hat = state.m[i] / (1 - state.beta1 ** t)
-        v_hat = state.v[i] / (1 - state.beta2 ** t)
-        p.data = p.data - (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.data.dtype)
+        state.m[i] = ADAM_BETA1 * state.m[i] + (1 - ADAM_BETA1) * g
+        state.v[i] = ADAM_BETA2 * state.v[i] + (1 - ADAM_BETA2) * g * g
+        m_hat = state.m[i] / (1 - ADAM_BETA1 ** t)
+        v_hat = state.v[i] / (1 - ADAM_BETA2 ** t)
+        p.data = p.data - (state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype)
+        if not np.isfinite(np.vdot(p.data, p.data)):
+            raise NumericError(f"Adam step {t} diverged: parameter {i} {p.shape} has a "
+                               f"squared norm that overflows {p.dtype}")
     for p in params:
         p.zero_grad()
 
@@ -134,7 +143,10 @@ def train(train_samples, val_samples, weights, config, epochs, batch_size=16,
                 except NumericError as exc:
                     raise _segment_error(exc, sample, f"at epoch {epoch},") from exc
                 batch_loss += loss.item()
-            adam_step(params, state)
+            try:
+                adam_step(params, state)
+            except NumericError as exc:
+                raise NumericError(f"{exc}, at epoch {epoch}") from exc
             epoch_loss += batch_loss
         train_loss = epoch_loss / len(train_samples)
         try:

@@ -93,7 +93,7 @@ class TestCriterion1GradientIntegrity:
         ew = embedding.EmbeddingWeights(
             mlp_w=t64(rng.normal(size=(2, 16)), grad=True),
             mlp_b=t64(rng.normal(size=16), grad=True))
-        table = embedding.PositionalTable.build(16)
+        table = embedding.positional_encoding(np.arange(4), 16)
         pts = rng.normal(size=(3, 4, 2))
 
         def emb_loss(_p):
@@ -401,7 +401,7 @@ class TestCriterion10ReportLayout:
         ok = len(report.rows) == 5
         ok &= all(set(r) == {"horizon_s", "ade", "fde", "rmse"}
                   for r in report.rows)
-        text = report.to_csv(include_reference=True)
+        text = report.to_csv()
         ref_lines = [ln for ln in text.splitlines() if "reference" in ln]
         ok &= len(ref_lines) == 1
         ok &= "1.90" in ref_lines[0] and "4.66" in ref_lines[0] \

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 import sctn
 from sctn import autodiff as ad
-from sctn import checkpoint, model
+from sctn import checkpoint, cli, model
 from sctn import data as data_mod
 from sctn.cli import main
 
@@ -141,6 +142,104 @@ class TestPipeline:
         monkeypatch.setattr(ad, "matmul", planted)
         assert run(["gradcheck", "--out", tmp_path / "gc", "--seed", 0]) == 3
         assert "gradient check failed" in capsys.readouterr().err
+
+
+# every flag of each subcommand besides --config and --out
+FLAGS = {
+    "synth": {"--seed", "--count", "--kind"},
+    "prepare": {"--data", "--seed", "--neighbors", "--units"},
+    "train": {"--data", "--seed", "--profile", "--se", "--epochs", "--batch"},
+    "evaluate": {"--data", "--checkpoint"},
+    "predict": {"--data", "--checkpoint", "--segment"},
+    "ablate": {"--data", "--seed", "--profile", "--batch"},
+    "gradcheck": {"--seed"},
+}
+
+
+def resolved(argv):
+    return cli._resolve(cli._build_parser().parse_args([str(a) for a in argv]))
+
+
+class TestFlags:
+    def test_each_subcommand_registers_only_the_flags_it_reads(self):
+        parser = cli._build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices
+        assert set(subparsers) == set(FLAGS)
+        for command, flags in FLAGS.items():
+            options = {opt for action in subparsers[command]._actions
+                       for opt in action.option_strings}
+            assert options == flags | {"--config", "--out", "-h", "--help"}, command
+
+    def test_removed_flag_is_usage_error(self, tmp_path, small_cfg, capsys):
+        cache, ckpt = untrained_checkpoint(tmp_path, small_cfg)
+        assert run(["evaluate", "--data", cache, "--checkpoint", ckpt,
+                    "--se", "off", "--out", tmp_path / "e"]) == 1
+        assert "unrecognized arguments: --se off" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
+
+    def test_profile_flag_selects_profile(self, tmp_path):
+        for command in ("train", "ablate"):
+            desk = resolved([command, "--data", tmp_path / "c"])
+            paper = resolved([command, "--data", tmp_path / "c", "--profile", "paper"])
+            assert (desk["model_dim"], desk["heads"], desk["dropout"]) == (64, 4, 0.0)
+            assert (paper["model_dim"], paper["heads"], paper["dropout"]) == (512, 8, 0.1)
+
+    @pytest.mark.parametrize("flag", ["on", "off"])
+    def test_se_flag_reaches_checkpoint(self, tmp_path, small_cfg, flag):
+        cache = synth(tmp_path, small_cfg)
+        out = tmp_path / "t"
+        assert run(["train", "--config", small_cfg, "--data", cache, "--epochs", "0",
+                    "--se", flag, "--out", out]) == 0
+        weights = checkpoint.load_model_checkpoint(out / "model.sctn")
+        assert weights.config.se_enabled == (flag == "on")
+        assert (weights.se_enc is not None) == (flag == "on")
+
+    def test_count_and_kind_flags_shape_the_cache(self, tmp_path, small_cfg):
+        out = tmp_path / "s"
+        assert run(["synth", "--config", small_cfg, "--count", "9", "--kind", "turn",
+                    "--out", out]) == 0
+        samples = checkpoint.load_segment_cache(out / "segments.sctn").all_samples()
+        assert len(samples) == 9
+        assert {s.source_file for s in samples} == {"synth:turn"}
+        default = checkpoint.load_segment_cache(synth(tmp_path, small_cfg)).all_samples()
+        assert len(default) == 6 and {s.source_file for s in default} == {"synth:linear"}
+
+    def test_synth_noise_moves_positions(self, tmp_path, small_cfg):
+        noisy_cfg = tmp_path / "noisy.cfg"
+        noisy_cfg.write_text(SMALL_CFG + "synth_noise = 0.5\n")
+        clean = checkpoint.load_segment_cache(synth(tmp_path, small_cfg, "clean"))
+        noisy = checkpoint.load_segment_cache(synth(tmp_path, noisy_cfg, "noisy"))
+        for a, b in zip(clean.all_samples(), noisy.all_samples()):
+            assert a.scene.positions.shape == b.scene.positions.shape
+            assert not np.array_equal(a.scene.positions, b.scene.positions)
+
+
+class TestConfigEcho:
+    def test_train_echoes_agent_count_of_cache(self, tmp_path, small_cfg):
+        cfg = tmp_path / "seven.cfg"
+        cfg.write_text(SMALL_CFG + "n_agents = 7\n")
+        cache = synth(tmp_path, small_cfg)
+        out = tmp_path / "t"
+        assert run(["train", "--config", cfg, "--data", cache, "--epochs", "0",
+                    "--out", out]) == 0
+        echo = (out / "config.txt").read_text().splitlines()
+        assert "n_agents = 3" in echo
+        assert "n_agents = 3" in Path(f"{out / 'model.sctn'}.config").read_text()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_echo_model_keys_of_checkpoint(self, tmp_path, small_cfg, command):
+        cache = synth(tmp_path, small_cfg)
+        train_out = tmp_path / "t"
+        assert run(["train", "--config", small_cfg, "--data", cache, "--epochs", "0",
+                    "--se", "off", "--out", train_out]) == 0
+        out = tmp_path / "e"
+        extra = ["--checkpoint", train_out / "model.sctn"]
+        assert run([command, "--data", cache, "--out", out] + extra) == 0
+        echo = (out / "config.txt").read_text().splitlines()
+        for key in ("se_enabled = false", "n_agents = 3", "model_dim = 16", "heads = 2",
+                    "ffn_dim = 64"):
+            assert key in echo
 
 
 class TestDeterminism:
@@ -361,3 +460,17 @@ class TestExitCodes:
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numeric error:"), proc.stderr
+        # the first step moves the weights to 1e20, whose squares overflow float32
+        assert lines[0].startswith("numeric error: Adam step 1 diverged:"), proc.stderr
+        assert lines[0].endswith(", at epoch 0"), proc.stderr
+
+    def test_window_geometry_differing_from_data_is_usage_error(self, tmp_path, small_cfg,
+                                                               capsys):
+        cache = synth(tmp_path, small_cfg)
+        cfg = tmp_path / "window.cfg"
+        cfg.write_text(SMALL_CFG + "t_obs = 20\nt_pred = 20\n")
+        assert run(["train", "--config", cfg, "--data", cache,
+                    "--out", tmp_path / "t"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:")
+        assert "t_obs = 20, t_pred = 20" in err and "t_obs = 15, t_pred = 25" in err

@@ -4,7 +4,7 @@ import pytest
 from sctn import autodiff as ad
 from sctn import embedding
 from sctn.autodiff import Tensor
-from sctn.embedding import EmbeddingWeights, PositionalTable
+from sctn.embedding import EmbeddingWeights
 from sctn.errors import ConfigError, DataError
 
 
@@ -48,19 +48,16 @@ class TestPositionalEncoding:
     def test_negative_t_rejected(self):
         with pytest.raises(ConfigError):
             embedding.positional_encoding(-1, 4)
+        with pytest.raises(ConfigError):
+            embedding.positional_encoding(np.array([0, 1, -2]), 4)
 
 
 class TestPositionalTable:
     def test_build_matches_rows(self):
-        table = PositionalTable.build(6, t_max=10)
-        np.testing.assert_array_equal(table.rows(3, 2)[0],
-                                      embedding.positional_encoding(3, 6))
-
-    def test_extends_on_demand(self):
-        table = PositionalTable.build(6, t_max=4)
-        rows = table.rows(2, 6)  # needs t up to 7
-        np.testing.assert_allclose(rows[-1], embedding.positional_encoding(7, 6))
-        assert table.table.shape[0] >= 8
+        table = embedding.positional_encoding(np.arange(10), 6)
+        assert table.shape == (10, 6)
+        for tt in range(10):
+            np.testing.assert_array_equal(table[tt], embedding.positional_encoding(tt, 6))
 
 
 class TestEmbedTrajectory:
@@ -108,7 +105,7 @@ class TestEmbedTrajectory:
 class TestComposeInput:
     def test_zero_weights_leave_positional_rows(self):
         w = EmbeddingWeights(mlp_w=t(np.zeros((2, 6))), mlp_b=t(np.zeros(6)))
-        table = PositionalTable.build(6)
+        table = embedding.positional_encoding(np.arange(4), 6)
         pts = np.random.default_rng(3).normal(size=(2, 4, 2))
         out = embedding.compose_input(pts, w, table).data
         for a in range(2):
@@ -120,7 +117,7 @@ class TestComposeInput:
         rng = np.random.default_rng(4)
         w = EmbeddingWeights(mlp_w=t(rng.normal(size=(2, 6))),
                              mlp_b=t(rng.normal(size=6)))
-        table = PositionalTable.build(6)
+        table = embedding.positional_encoding(np.arange(4), 6)
         track = rng.normal(size=(4, 2))
         out = embedding.compose_input(np.stack([track, track]), w, table).data
         np.testing.assert_array_equal(out[0], out[1])
@@ -129,7 +126,7 @@ class TestComposeInput:
         rng = np.random.default_rng(5)
         w = EmbeddingWeights(mlp_w=t(rng.normal(size=(2, 512))),
                              mlp_b=t(rng.normal(size=512)))
-        table = PositionalTable.build(512)
+        table = embedding.positional_encoding(np.arange(15), 512)
         out = embedding.compose_input(rng.normal(size=(10, 15, 2)), w, table)
         assert out.shape == (10, 15, 512)
 
@@ -137,7 +134,7 @@ class TestComposeInput:
         rng = np.random.default_rng(6)
         w = EmbeddingWeights(mlp_w=t(rng.normal(size=(2, 6))),
                              mlp_b=t(rng.normal(size=6)))
-        table = PositionalTable.build(6)
+        table = embedding.positional_encoding(np.arange(4), 6)
         pts = rng.normal(size=(5, 4, 2))
         perm = rng.permutation(5)
         base = embedding.compose_input(pts, w, table).data

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sctn import data as data_mod
-from sctn import metrics, model, optim
+from sctn import model, optim
 from sctn.errors import UsageError
-from sctn.metrics import MetricsReport, ade, evaluate, fde, rmse
+from sctn.metrics import ade, evaluate, fde, rmse
 from sctn.model import ModelConfig, ModelWeights, Scene
 
 
@@ -166,7 +166,7 @@ class TestReport:
     def test_reference_row_displayed_not_asserted(self):
         cfg, weights = self.toy_weights()
         report = evaluate(weights, self.toy_samples(cfg), cfg)
-        text = report.to_csv(include_reference=True)
+        text = report.to_csv()
         assert "reference" in text
         assert "1.90" in text and "4.66" in text and "3.16" in text
 
@@ -177,23 +177,11 @@ class TestReport:
 
     def test_untrained_drift_grows_with_horizon(self):
         # an untrained model drifts further from a linear ground truth as the
-        # horizon grows; short-horizon wobbles are flagged, not fatal
+        # horizon grows; short-horizon wobbles are allowed
         cfg, weights = self.toy_weights()
         report = evaluate(weights, self.toy_samples(cfg, count=4), cfg)
         ades = [r["ade"] for r in report.rows]
         assert ades[-1] >= ades[0]
-        flags = metrics.horizon_monotonicity_flags(report)
-        for key, horizon in flags:
-            prev = next(r[key] for r in report.rows if r["horizon_s"] == horizon - 1)
-            cur = next(r[key] for r in report.rows if r["horizon_s"] == horizon)
-            assert cur < prev
-
-    def test_monotonicity_flags_detect_violation(self):
-        report = MetricsReport(rows=[
-            dict(horizon_s=1, ade=1.0, fde=1.0, rmse=1.0),
-            dict(horizon_s=2, ade=0.5, fde=2.0, rmse=2.0),
-        ])
-        assert metrics.horizon_monotonicity_flags(report) == [("ade", 2)]
 
 
 def test_l2_loss_hand_case():

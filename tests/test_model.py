@@ -40,7 +40,7 @@ def recompute_rollout(scene, weights, cfg):
     z = model.encode(scene, weights, cfg)
     buf = scene.observed(cfg.t_obs)[:, -1:, :].astype(cfg.np_dtype)
     for _ in range(cfg.t_pred):
-        nxt = model._decode_sequence(buf, z, scene, weights, cfg).data[:, -1:]
+        nxt = model._decode_sequence(buf, z, weights, cfg).data[:, -1:]
         buf = np.concatenate([buf, nxt], axis=1)
     return buf[:, 1:]
 
@@ -110,7 +110,7 @@ class TestDecode:
         scene = toy_scene(cfg)
         z = model.encode(scene, weights, cfg)
         seed_tok = scene.observed(cfg.t_obs)[:, -1:, :]
-        out = model.decode_step(seed_tok, z, scene, weights, cfg)
+        out = model.decode_step(seed_tok, weights, cfg, model.DecoderCache(z, weights, cfg))
         assert out.shape == (cfg.n_agents, 1, 2)
 
     def test_causal_padding_insensitive(self):
@@ -119,8 +119,9 @@ class TestDecode:
         z = model.encode(scene, weights, cfg)
         seed_tok = scene.observed(cfg.t_obs)[:, -1:, :]
         two = np.concatenate([seed_tok, seed_tok + 1.0], axis=1)
-        step1_from_two = model._decode_sequence(two, z, scene, weights, cfg).data[:, 0]
-        step1_direct = model.decode_step(seed_tok, z, scene, weights, cfg)[:, 0]
+        step1_from_two = model._decode_sequence(two, z, weights, cfg).data[:, 0]
+        step1_direct = model.decode_step(seed_tok, weights, cfg,
+                                         model.DecoderCache(z, weights, cfg))[:, 0]
         np.testing.assert_allclose(step1_from_two, step1_direct, atol=1e-10)
 
     def test_step_bounds(self):
@@ -129,7 +130,7 @@ class TestDecode:
         z = model.encode(scene, weights, cfg)
         too_long = np.zeros((cfg.n_agents, cfg.t_pred + 1, 2))
         with pytest.raises(UsageError):
-            model.decode_step(too_long, z, scene, weights, cfg)
+            model.decode_step(too_long, weights, cfg, model.DecoderCache(z, weights, cfg))
 
 
 class TestPredict:
@@ -175,34 +176,24 @@ class TestCachedRollout:
                                    recompute_rollout(scene, weights, cfg),
                                    rtol=0, atol=tol)
 
-    def test_decode_step_extends_cache_exactly(self):
-        cfg, weights = toy_setup(n_agents=4, t_pred=6, layers=2)
-        scene = padded_scene(cfg, "turn")
-        z = model.encode(scene, weights, cfg)
-        points = np.concatenate([scene.observed(cfg.t_obs)[:, -1:],
-                                 scene.future(cfg.t_obs)[:, :5]], axis=1)
-        oracle = model._decode_sequence(points, z, scene, weights, cfg).data[:, -1:]
-        fresh = model.decode_step(points, z, scene, weights, cfg)
-        np.testing.assert_allclose(fresh, oracle, rtol=0, atol=1e-12)
-        cache = model.DecoderCache(z, weights, cfg)
-        model.decode_step(points[:, :2], z, scene, weights, cfg, cache)
-        # four new positions in one call attend under the causal mask
-        extended = model.decode_step(points, z, scene, weights, cfg, cache)
-        np.testing.assert_allclose(extended, oracle, rtol=0, atol=1e-12)
-        assert cache.length == 6
-
     def test_prefix_must_extend_cache(self):
         cfg, weights = toy_setup(t_pred=4)
         scene = toy_scene(cfg)
         z = model.encode(scene, weights, cfg)
         points = np.concatenate([scene.observed(cfg.t_obs)[:, -1:],
-                                 scene.future(cfg.t_obs)[:, :2]], axis=1)
+                                 scene.future(cfg.t_obs)[:, :3]], axis=1)
         cache = model.DecoderCache(z, weights, cfg)
-        model.decode_step(points[:, :2], z, scene, weights, cfg, cache)
-        with pytest.raises(UsageError):
-            model.decode_step(points[:, :2], z, scene, weights, cfg, cache)
-        with pytest.raises(UsageError):
-            model.decode_step(points + 1.0, z, scene, weights, cfg, cache)
+        with pytest.raises(UsageError):  # two new positions at once
+            model.decode_step(points[:, :2], weights, cfg, cache)
+        model.decode_step(points[:, :1], weights, cfg, cache)
+        model.decode_step(points[:, :2], weights, cfg, cache)
+        with pytest.raises(UsageError):  # no new position
+            model.decode_step(points[:, :2], weights, cfg, cache)
+        with pytest.raises(UsageError):  # a prefix that differs from the cached one
+            model.decode_step(points[:, :3] + 1.0, weights, cfg, cache)
+        with pytest.raises(UsageError):  # two new positions after cached ones
+            model.decode_step(points, weights, cfg, cache)
+        assert cache.length == 2
 
     def test_predict_records_no_graph(self, monkeypatch):
         cfg, weights = toy_setup()
@@ -242,7 +233,7 @@ class TestTeacherForcing:
         forced = model.teacher_forced_forward(scene, weights, cfg, training=False)
         z = model.encode(scene, weights, cfg)
         seed_tok = scene.observed(cfg.t_obs)[:, -1:, :]
-        step1 = model.decode_step(seed_tok, z, scene, weights, cfg)
+        step1 = model.decode_step(seed_tok, weights, cfg, model.DecoderCache(z, weights, cfg))
         np.testing.assert_allclose(forced.data[:, :1], step1, atol=1e-10)
 
 

@@ -58,6 +58,16 @@ class TestAdam:
         with pytest.raises(ShapeError):
             adam_step(p, state)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("grad", [np.nan, np.inf])
+    def test_non_finite_update_names_step(self, grad):
+        p = params_of([[1.0], [1.0, 2.0]])
+        state = adam_init(p)
+        adam_step(p, state)
+        p[1].grad = np.array([1.0, grad])
+        with pytest.raises(NumericError, match=r"^Adam step 2 diverged: parameter 1 \(2,\)"):
+            adam_step(p, state)
+
     def test_step_counter(self):
         p = params_of([[0.0]])
         state = adam_init(p)
@@ -167,10 +177,14 @@ class TestTrain:
         _, _, samples = toy_training_setup()
         cfg = ModelConfig(**{**TOY_DIMS, "dtype": "float32"})
         weights = ModelWeights(cfg)
-        val = [data_mod.SegmentSample(scene=samples[1].scene, source_file="us101.csv",
+        # coordinates of 1e30 m are finite in float32, but their attention
+        # scores are not
+        scene = samples[1].scene
+        far = Scene(positions=scene.positions * 1e30, channel_mask=scene.channel_mask)
+        val = [data_mod.SegmentSample(scene=far, source_file="us101.csv",
                                       vehicle_id=77, start_frame=5)]
         with pytest.raises(NumericError) as info:
-            train(samples[:1], val, weights, cfg, epochs=2, lr=1e20)
+            train(samples[:1], val, weights, cfg, epochs=2)
         message = str(info.value)
         assert "non-finite values in" in message
         assert "us101.csv, vehicle 77, start 5" in message
