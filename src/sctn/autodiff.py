@@ -3,10 +3,11 @@
 Tensors wrap numpy arrays of rank <= 4. Every differentiable operation records
 its parents and a backward closure; calling ``backward`` on a scalar loss walks
 the graph once in reverse topological order, accumulates gradients additively
-across fan-out, and then unlinks the graph it ran. Only leaves (tensors made
-with requires_grad, such as weights) keep their ``.grad``: an interior node
-drops its gradient as soon as its closure has passed it on. Inside
-``with no_grad():`` operations record nothing, for inference.
+across fan-out, and then unlinks the graph it ran. A graph holds no reference
+cycle, so reference counting frees it once it is dropped, run or not. Only
+leaves (tensors made with requires_grad, such as weights) keep their ``.grad``:
+an interior node drops its gradient as soon as its closure has passed it on.
+Inside ``with no_grad():`` operations record nothing, for inference.
 
 Finiteness is checked once per op: matmul, add, mul, scalar_mul, mean and
 layer_norm raise NumericError on a non-finite output (naming it, e.g.
@@ -17,6 +18,7 @@ to the next op.
 """
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -111,10 +113,14 @@ def _make(data, parents):
 
 
 def _link(out, backward_fn):
-    """Attach the closure only where backward will run it: the closure refers
-    to out, so attaching it makes a cycle that backward breaks again."""
+    """Give out the zero-argument closure backward runs: backward_fn(out.grad).
+
+    backward_fn refers to the op's inputs but never to out, and the closure
+    reaches out through a weak reference, so no graph node is in a reference
+    cycle. Only a node that requires grad gets a closure."""
     if out.requires_grad:
-        out._backward_fn = backward_fn
+        ref = weakref.ref(out)
+        out._backward_fn = lambda: backward_fn(ref().grad)
     return out
 
 
@@ -132,27 +138,41 @@ def _acc(t, g):
 
 def matmul(a, b):
     """Matrix product over the last two axes; operands of rank >= 3 are batched
-    over the leading axes, which must match, and a rank-2 rhs is shared."""
+    over the leading axes, which must match, and a rank-2 rhs is shared.
+
+    A shared rhs is one GEMM: the leading axes of a fold into rows, in forward
+    and in backward, so its gradient is a single product, not a stack of
+    per-batch products summed."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul requires rank >= 2 operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
     if a.ndim >= 3 and b.ndim >= 3 and a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul batch dimensions differ: {a.shape} @ {b.shape}")
-    out_data = np.matmul(a.data, b.data)
+    shared = b.ndim == 2 and a.ndim > 2
+    if shared:
+        out_data = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(
+            a.shape[:-1] + b.shape[-1:])
+    else:
+        out_data = np.matmul(a.data, b.data)
     _require_finite("matmul output", out_data)
     out = _make(out_data, (a, b))
 
-    def backward_fn():
-        g = out.grad
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        while ga.ndim > a.ndim:
-            ga = ga.sum(axis=0)
-        while gb.ndim > b.ndim:
-            gb = gb.sum(axis=0)
-        _acc(a, ga)
-        _acc(b, gb)
+    def backward_fn(g):
+        if shared:
+            g = g.reshape(-1, g.shape[-1])
+            if a.requires_grad:
+                _acc(a, (g @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                _acc(b, a.data.reshape(-1, a.shape[-1]).T @ g)
+            return
+        if a.requires_grad:
+            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            while ga.ndim > a.ndim:  # a rank-2 lhs shared over b's batch
+                ga = ga.sum(axis=0)
+            _acc(a, ga)
+        if b.requires_grad:
+            _acc(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     return _link(out, backward_fn)
 
@@ -169,8 +189,7 @@ def add(a, b):
     _require_finite("add output", out_data)
     out = _make(out_data, (a, b))
 
-    def backward_fn():
-        g = out.grad
+    def backward_fn(g):
         _acc(a, g)
         if bias:
             _acc(b, g.reshape(-1, b.shape[0]).sum(axis=0))
@@ -188,9 +207,9 @@ def mul(a, b):
     _require_finite("mul output", out_data)
     out = _make(out_data, (a, b))
 
-    def backward_fn():
-        _acc(a, out.grad * b.data)
-        _acc(b, out.grad * a.data)
+    def backward_fn(g):
+        _acc(a, g * b.data)
+        _acc(b, g * a.data)
 
     return _link(out, backward_fn)
 
@@ -202,13 +221,13 @@ def scalar_mul(a, c):
     out_data = a.data * c
     _require_finite("scalar_mul output", out_data)
     out = _make(out_data, (a,))
-    return _link(out, lambda: _acc(a, out.grad * c))
+    return _link(out, lambda g: _acc(a, g * c))
 
 
 def relu(a):
     _require_finite("relu input", a.data)
     out = _make(np.maximum(a.data, 0), (a,))
-    return _link(out, lambda: _acc(a, out.grad * (a.data > 0)))
+    return _link(out, lambda g: _acc(a, g * (a.data > 0)))
 
 
 def sigmoid(a):
@@ -218,7 +237,7 @@ def sigmoid(a):
     fi = np.finfo(a.data.dtype)
     s = np.clip(0.5 * (1.0 + np.tanh(0.5 * a.data)), fi.tiny, 1.0 - fi.epsneg)
     out = _make(s, (a,))
-    return _link(out, lambda: _acc(a, out.grad * s * (1.0 - s)))
+    return _link(out, lambda g: _acc(a, g * s * (1.0 - s)))
 
 
 def transpose(a, axis1=-2, axis2=-1):
@@ -226,7 +245,7 @@ def transpose(a, axis1=-2, axis2=-1):
     if a.ndim < 2:
         raise ShapeError("transpose requires rank >= 2")
     out = _make(np.swapaxes(a.data, axis1, axis2), (a,))
-    return _link(out, lambda: _acc(a, np.swapaxes(out.grad, axis1, axis2)))
+    return _link(out, lambda g: _acc(a, np.swapaxes(g, axis1, axis2)))
 
 
 def mean(a, axis=None):
@@ -236,8 +255,7 @@ def mean(a, axis=None):
     out = _make(out_data, (a,))
     count = a.size // out_data.size
 
-    def backward_fn():
-        g = out.grad
+    def backward_fn(g):
         if axis is not None:
             g = np.expand_dims(g, axis=axis)
         _acc(a, np.broadcast_to(g, a.shape) / count)
@@ -247,7 +265,7 @@ def mean(a, axis=None):
 
 def reshape(a, shape):
     out = _make(a.data.reshape(shape), (a,))
-    return _link(out, lambda: _acc(a, out.grad.reshape(a.shape)))
+    return _link(out, lambda g: _acc(a, g.reshape(a.shape)))
 
 
 def scale_channels(a, s):
@@ -257,9 +275,9 @@ def scale_channels(a, s):
     factor = s.data.reshape((-1,) + (1,) * (a.ndim - 1))
     out = _make(a.data * factor, (a, s))
 
-    def backward_fn():
-        _acc(a, out.grad * factor)
-        _acc(s, (out.grad * a.data).reshape(a.shape[0], -1).sum(axis=1))
+    def backward_fn(g):
+        _acc(a, g * factor)
+        _acc(s, (g * a.data).reshape(a.shape[0], -1).sum(axis=1))
 
     return _link(out, backward_fn)
 
@@ -272,8 +290,7 @@ def softmax(a):
     s = e / e.sum(axis=-1, keepdims=True)
     out = _make(s, (a,))
 
-    def backward_fn():
-        g = out.grad
+    def backward_fn(g):
         dot = (g * s).sum(axis=-1, keepdims=True)
         _acc(a, s * (g - dot))
 
@@ -296,8 +313,7 @@ def layer_norm(x, gain, bias):
     _require_finite("layer_norm output", out_data)
     out = _make(out_data, (x, gain, bias))
 
-    def backward_fn():
-        g = out.grad
+    def backward_fn(g):
         gx_hat = g * gain.data
         m1 = gx_hat.mean(axis=-1, keepdims=True)
         m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
@@ -338,7 +354,7 @@ def dropout(x, rate, training, rng=None):
     keep = (rng.uniform(x.shape) >= rate).astype(x.data.dtype)
     factor = keep / (1.0 - rate)
     out = _make(x.data * factor, (x,))
-    return _link(out, lambda: _acc(x, out.grad * factor))
+    return _link(out, lambda g: _acc(x, g * factor))
 
 
 # ---------------------------------------------------------------------------

@@ -114,8 +114,12 @@ def _echo(args, cfg):
 
 
 def _echo_model(args, cfg, mcfg):
-    """Rewrite the echo with the model keys the command took from its input."""
+    """Rewrite the echo with the model keys the command took from its input,
+    and with the profile whose every key they match, if one does."""
     cfg.update((key, getattr(mcfg, key)) for key in config_mod.MODEL_SCHEMA)
+    cfg["profile"] = next((name for name, values in model.PROFILES.items()
+                           if all(cfg[key] == value for key, value in values.items())),
+                          cfg["profile"])
     _echo(args, cfg)
 
 

@@ -54,7 +54,13 @@ def adam_init(params, lr=0.01):
 
 
 def adam_step(params, state):
-    """Bias-corrected Adam update in place; gradients are zeroed afterwards.
+    """Bias-corrected Adam update; gradients are zeroed afterwards.
+
+    The moments are updated in place, in the order of the textbook formula
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    p - lr m_hat / (sqrt(v_hat) + eps), so each result is bit-identical to it.
+    Each parameter gets a new array and never has its old one written, which
+    may belong to the caller (load_state_dict keeps the arrays it is given).
 
     Each updated parameter is checked once: NumericError names the step when
     its squared norm is not finite in its dtype. That holds for every NaN or
@@ -66,13 +72,24 @@ def adam_step(params, state):
         g = p.grad
         if g is None:
             continue
-        if g.shape != state.m[i].shape:
-            raise ShapeError(f"gradient shape {g.shape} vs moment {state.m[i].shape}")
-        state.m[i] = ADAM_BETA1 * state.m[i] + (1 - ADAM_BETA1) * g
-        state.v[i] = ADAM_BETA2 * state.v[i] + (1 - ADAM_BETA2) * g * g
-        m_hat = state.m[i] / (1 - ADAM_BETA1 ** t)
-        v_hat = state.v[i] / (1 - ADAM_BETA2 ** t)
-        p.data = p.data - (state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.data.dtype)
+        m, v = state.m[i], state.v[i]
+        if g.shape != m.shape:
+            raise ShapeError(f"gradient shape {g.shape} vs moment {m.shape}")
+        buf = np.multiply(1 - ADAM_BETA1, g)
+        m *= ADAM_BETA1
+        m += buf
+        np.multiply(1 - ADAM_BETA2, g, out=buf)
+        buf *= g
+        v *= ADAM_BETA2
+        v += buf
+        # buf = sqrt(v_hat) + eps, then step = lr * m_hat / buf
+        np.divide(v, 1 - ADAM_BETA2 ** t, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += ADAM_EPS
+        step = np.divide(m, 1 - ADAM_BETA1 ** t)
+        step *= state.lr
+        step /= buf
+        p.data = np.subtract(p.data, step, out=step)
         if not np.isfinite(np.vdot(p.data, p.data)):
             raise NumericError(f"Adam step {t} diverged: parameter {i} {p.shape} has a "
                                f"squared norm that overflows {p.dtype}")

@@ -66,6 +66,74 @@ class TestPrimitives:
             Tensor(np.zeros((1, 1, 1, 1, 1)))
 
 
+def _summed_matmul_grads(a, b, g):
+    """Reference gradients of a @ b from per-batch products summed over the
+    leading axes, the way a batched backward forms them."""
+    ga = np.matmul(g, np.swapaxes(b, -1, -2))
+    gb = np.matmul(np.swapaxes(a, -1, -2), g)
+    while ga.ndim > a.ndim:
+        ga = ga.sum(axis=0)
+    while gb.ndim > b.ndim:
+        gb = gb.sum(axis=0)
+    return ga, gb
+
+
+class TestSharedWeightMatmul:
+    """A rank-2 rhs folds the leading axes of the lhs into rows."""
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    def test_forward_and_gradients_match_batched_reference(self, lead):
+        gen = np.random.default_rng(20)
+        a_np = gen.normal(size=lead + (4, 5))
+        b_np = gen.normal(size=(5, 6))
+        w_np = gen.normal(size=lead + (4, 6))
+        a, b = t(a_np, grad=True), t(b_np, grad=True)
+        out = ad.matmul(a, b)
+        np.testing.assert_allclose(out.data, np.matmul(a_np, b_np), rtol=0, atol=1e-12)
+        ad.backward(ad.mean(ad.mul(out, t(w_np))))
+        ga, gb = _summed_matmul_grads(a_np, b_np, (1.0 / w_np.size) * w_np)
+        assert a.grad.shape == a_np.shape and b.grad.shape == b_np.shape
+        np.testing.assert_allclose(a.grad, ga, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.grad, gb, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    def test_finite_differences(self, lead):
+        gen = np.random.default_rng(21)
+        a = t(gen.normal(size=lead + (4, 5)), grad=True)
+        b = t(gen.normal(size=(5, 6)), grad=True)
+
+        def square_mean(out):
+            return ad.mean(ad.mul(out, out))
+
+        assert ad.finite_difference_check(
+            lambda p: square_mean(ad.matmul(p, b)), a, step=1e-5) < 1e-7
+        assert ad.finite_difference_check(
+            lambda p: square_mean(ad.matmul(a, p)), b, step=1e-5) < 1e-7
+
+    @pytest.mark.parametrize("grad_a", [True, False])
+    def test_operand_without_grad_gets_none(self, grad_a):
+        gen = np.random.default_rng(22)
+        a = t(gen.normal(size=(2, 3, 4)), grad=grad_a)
+        b = t(gen.normal(size=(4, 2)), grad=not grad_a)
+        ad.backward(ad.mean(ad.matmul(a, b)))
+        with_grad, without = (a, b) if grad_a else (b, a)
+        assert with_grad.grad is not None and with_grad.grad.shape == with_grad.shape
+        assert without.grad is None
+
+    def test_rank4_rhs_stays_batched(self):
+        gen = np.random.default_rng(23)
+        a_np = gen.normal(size=(2, 3, 4, 5))
+        b_np = gen.normal(size=(2, 3, 5, 6))
+        w_np = gen.normal(size=(2, 3, 4, 6))
+        a, b = t(a_np, grad=True), t(b_np, grad=True)
+        out = ad.matmul(a, b)
+        np.testing.assert_array_equal(out.data, np.matmul(a_np, b_np))
+        ad.backward(ad.mean(ad.mul(out, t(w_np))))
+        ga, gb = _summed_matmul_grads(a_np, b_np, (1.0 / w_np.size) * w_np)
+        np.testing.assert_array_equal(a.grad, ga)
+        np.testing.assert_array_equal(b.grad, gb)
+
+
 class TestSoftmax:
     def test_symmetry(self):
         np.testing.assert_allclose(ad.softmax(t([0.0, 0.0])).data, [0.5, 0.5])

@@ -237,8 +237,20 @@ class TestConfigEcho:
         extra = ["--checkpoint", train_out / "model.sctn"]
         assert run([command, "--data", cache, "--out", out] + extra) == 0
         echo = (out / "config.txt").read_text().splitlines()
-        for key in ("se_enabled = false", "n_agents = 3", "model_dim = 16", "heads = 2",
-                    "ffn_dim = 64"):
+        # a checkpoint that matches no profile keeps the resolved one
+        for key in ("profile = desk", "se_enabled = false", "n_agents = 3",
+                    "model_dim = 16", "heads = 2", "ffn_dim = 64"):
+            assert key in echo
+
+    def test_echo_names_profile_of_paper_checkpoint(self, tmp_path, small_cfg):
+        cache = synth(tmp_path, small_cfg)
+        ckpt = tmp_path / "paper.sctn"
+        mcfg = model.config_for_profile("paper", n_agents=3, layers=1)
+        checkpoint.save_model_checkpoint(ckpt, model.ModelWeights(mcfg))
+        out = tmp_path / "p"
+        assert run(["predict", "--data", cache, "--checkpoint", ckpt, "--out", out]) == 0
+        echo = (out / "config.txt").read_text().splitlines()
+        for key in ("profile = paper", "model_dim = 512", "heads = 8", "dropout = 0.1"):
             assert key in echo
 
 

@@ -9,7 +9,7 @@ from sctn import data as data_mod
 from sctn import optim
 from sctn.autodiff import Tensor
 from sctn.errors import DataError, NumericError, ShapeError, UsageError
-from sctn.model import ModelConfig, ModelWeights, TOY_DIMS, Scene
+from sctn.model import ModelConfig, ModelWeights, TOY_DIMS, Scene, teacher_forced_forward
 from sctn.optim import adam_init, adam_step, train
 
 
@@ -88,6 +88,34 @@ class TestAdam:
         np.testing.assert_array_equal(run(), run())
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_out_of_place_formula_bit_for_bit(self, dtype):
+        gen = np.random.default_rng(5)
+        init = [gen.normal(size=(3, 4)).astype(dtype), gen.normal(size=7).astype(dtype)]
+        grads = [[gen.normal(size=x.shape).astype(dtype) for x in init] for _ in range(3)]
+        params = [Tensor(x.copy(), requires_grad=True) for x in init]
+        state = adam_init(params, lr=0.03)
+        ref = [x.copy() for x in init]
+        m = [np.zeros_like(x) for x in init]
+        v = [np.zeros_like(x) for x in init]
+        b1, b2, eps = optim.ADAM_BETA1, optim.ADAM_BETA2, optim.ADAM_EPS
+        for t, step_grads in enumerate(grads, start=1):
+            for p, g in zip(params, step_grads):
+                p.grad = g.copy()
+            adam_step(params, state)
+            for i, g in enumerate(step_grads):
+                m[i] = b1 * m[i] + (1 - b1) * g
+                v[i] = b2 * v[i] + (1 - b2) * g * g
+                m_hat = m[i] / (1 - b1 ** t)
+                v_hat = v[i] / (1 - b2 ** t)
+                ref[i] = ref[i] - (0.03 * m_hat / (np.sqrt(v_hat) + eps)).astype(dtype)
+            for i, p in enumerate(params):
+                assert p.data.dtype == dtype
+                assert np.array_equal(p.data, ref[i])
+                assert np.array_equal(state.m[i], m[i])
+                assert np.array_equal(state.v[i], v[i])
+
+
 def toy_training_setup(n_samples=2, seed=0):
     cfg = ModelConfig(seed=seed, **TOY_DIMS)
     weights = ModelWeights(cfg)
@@ -158,6 +186,17 @@ class TestTrain:
 
         assert run() == run()
 
+    def test_train_leaves_loaded_state_dict_unchanged(self):
+        cfg, weights, samples = toy_training_setup()
+        initial = weights.state_dict()
+        kept = {name: arr.copy() for name, arr in initial.items()}
+        weights.load_state_dict(initial)
+        train(samples, [], weights, cfg, epochs=2, batch_size=1, lr=1e-2)
+        assert any(not np.array_equal(weights.registry[name].data, kept[name])
+                   for name in kept)
+        for name, arr in initial.items():
+            np.testing.assert_array_equal(arr, kept[name])
+
     def test_numeric_error_names_op_and_segment(self):
         cfg, weights, samples = toy_training_setup()
         samples[1] = data_mod.SegmentSample(scene=samples[1].scene,
@@ -209,5 +248,20 @@ def test_backward_frees_segment_graph_without_cyclic_gc():
         del loss
         assert len(refs) > 50
         assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_dropped_forward_graph_is_freed_without_cyclic_gc():
+    cfg, weights, samples = toy_training_setup(n_samples=1)
+    gc.collect()
+    gc.disable()
+    try:
+        out = teacher_forced_forward(samples[0].scene, weights, cfg,
+                                     training=True, rng=ad.CounterRng(0))
+        assert out.requires_grad and out._backward_fn is not None
+        ref = weakref.ref(out)
+        del out
+        assert ref() is None
     finally:
         gc.enable()
