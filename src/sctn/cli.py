@@ -198,6 +198,9 @@ def _cmd_ablate(args, cfg):
         neighbor_counts=config_mod.neighbor_counts(cfg), epochs=cfg["ablation_epochs"],
         batch_size=cfg["batch_size"], lr=cfg["lr"], seed=cfg["seed"])
     base = config_mod.model_config_from(cfg)
+    # every grid cell sets its own agent count and channel-attention toggle
+    _echo(args, {key: value for key, value in cfg.items()
+                 if key not in ("n_agents", "se_enabled")})
     cells = ablation_mod.ablate(acfg, samples, base)
     text = ablation_mod.grid_csv(cells)
     (args.out / "ablation.csv").write_text(text)

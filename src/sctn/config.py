@@ -6,8 +6,9 @@ listed here. A config resolves in layers: schema defaults, then the profile's
 values from ``model.PROFILES``, then the config file, then explicit flags.
 Unknown keys are rejected, as are t_obs and t_pred other than the window the
 data pipeline cuts. The fully resolved config is echoed into every output
-directory, with the model keys a command took from its cache or checkpoint,
-so a run can always be reproduced from its artifacts.
+directory, with the model keys a command took from its cache or checkpoint
+and without those that ``sctn ablate`` sets per grid cell, so a run can always
+be reproduced from its artifacts.
 """
 from __future__ import annotations
 
@@ -123,6 +124,7 @@ def model_config_from(cfg, **extra):
 
 
 def echo(cfg):
-    lines = [f"{key} = {str(cfg[key]).lower() if isinstance(cfg[key], bool) else cfg[key]}"
-             for key in SCHEMA]
+    """The keys of cfg, in its order, as key = value lines."""
+    lines = [f"{key} = {str(value).lower() if isinstance(value, bool) else value}"
+             for key, value in cfg.items()]
     return "\n".join(lines) + "\n"

@@ -4,8 +4,9 @@ Reads headered CSV track logs (vehicle_id, frame_id, local_x, local_y, 10 Hz,
 feet or metres), subsamples to 5 Hz, slices sliding 8-second windows
 (15 observation + 25 prediction frames), ranks neighbours by distance to the
 target at its last observed frame, and normalizes each window so that point
-sits at the origin. A deterministic synthetic generator provides desk-scale
-datasets without any real logs.
+sits at the origin. Each log is indexed once, so the time taken grows
+linearly with its rows. A deterministic synthetic generator provides
+desk-scale datasets without any real logs.
 """
 from __future__ import annotations
 
@@ -104,87 +105,77 @@ def resample(records, factor=2):
     return out
 
 
-def _tracks_by_vehicle(records):
-    tracks = {}
+@dataclass
+class LogIndex:
+    """One log, indexed once: vehicle id -> {frame id -> (x, y)}, and frame
+    id -> the ids of the vehicles present at that frame."""
+    tracks: dict
+    present: dict
+
+
+def index_log(records):
+    tracks, present = {}, {}
     for r in records:
-        tracks.setdefault(r.vehicle_id, []).append(r)
-    return tracks
+        tracks.setdefault(r.vehicle_id, {})[r.frame_id] = (r.x, r.y)
+        present.setdefault(r.frame_id, []).append(r.vehicle_id)
+    return LogIndex(tracks, present)
 
 
-def segment_windows(records, stride=5, source_file=""):
+def segment_windows(index, stride=5):
     """Sliding 40-frame windows per target vehicle (5 Hz records).
 
     Windows where the target misses any frame are dropped. Returns raw
     window descriptors; neighbour assignment happens in select_neighbors.
     """
-    tracks = _tracks_by_vehicle(records)
     windows = []
-    for vid in sorted(tracks):
-        track = tracks[vid]
-        frames = [r.frame_id for r in track]
+    for vid in sorted(index.tracks):
+        frames = sorted(index.tracks[vid])
         step = frames[1] - frames[0] if len(frames) > 1 else 1
-        for start in range(0, len(track) - WINDOW + 1, stride):
-            chunk = track[start:start + WINDOW]
+        for start in range(0, len(frames) - WINDOW + 1, stride):
+            ids = frames[start:start + WINDOW]
             # contiguity check: frame ids must advance uniformly
-            ids = [r.frame_id for r in chunk]
             if any(b - a != step for a, b in zip(ids, ids[1:])):
                 continue
-            windows.append(dict(vehicle_id=vid, start_frame=chunk[0].frame_id,
-                                frames=ids, source_file=source_file))
+            windows.append(dict(vehicle_id=vid, start_frame=ids[0], frames=ids))
     return windows
 
 
-def select_neighbors(window, records, n_channels):
+def select_neighbors(window, index, n_channels):
     """Build the N-channel scene for one window.
 
     Channel 0 is the target. Neighbours are the vehicles present at the
     target's last observed frame, nearest first (ties broken by lower
-    vehicle id); missing window frames are held at the neighbour's last
-    known position. Unfilled channels are zero and masked out.
+    vehicle id). A neighbour's missing window frames hold its last known
+    position, and frames before it appears take its first known one.
+    Unfilled channels are zero and masked out.
     """
-    tracks = _tracks_by_vehicle(records)
+    tracks = index.tracks
     vid = window["vehicle_id"]
     frames = window["frames"]
     anchor_frame = frames[T_OBS - 1]
-    by_frame = {v: {r.frame_id: (r.x, r.y) for r in tr} for v, tr in tracks.items()}
-    tx, ty = by_frame[vid][anchor_frame]
-
+    tx, ty = tracks[vid][anchor_frame]
     candidates = []
-    for other, posmap in by_frame.items():
-        if other == vid or anchor_frame not in posmap:
-            continue
-        ox, oy = posmap[anchor_frame]
-        dist = float(np.hypot(ox - tx, oy - ty))
-        candidates.append((dist, other))
+    for other in index.present[anchor_frame]:
+        if other != vid:
+            ox, oy = tracks[other][anchor_frame]
+            candidates.append((float(np.hypot(ox - tx, oy - ty)), other))
     candidates.sort()
-    chosen = [other for _, other in candidates[:n_channels - 1]]
+    chosen = [vid] + [other for _, other in candidates[:n_channels - 1]]
 
     positions = np.zeros((n_channels, WINDOW, 2))
-    mask = np.zeros(n_channels, dtype=bool)
-    for channel, v in enumerate([vid] + chosen):
-        posmap = by_frame[v]
-        last = None
-        filled = np.zeros((WINDOW, 2))
+    for channel, v in enumerate(chosen):
+        track = tracks[v]
+        last = next(track[f] for f in frames if f in track)
         for i, f in enumerate(frames):
-            if f in posmap:
-                last = posmap[f]
-            if last is None:
-                # frames before the neighbour appears: backfill later
-                filled[i] = np.nan
-            else:
-                filled[i] = last
-        # backfill leading gaps with the first known position
-        if np.isnan(filled).any():
-            first_known = filled[~np.isnan(filled[:, 0])][0]
-            filled[np.isnan(filled[:, 0])] = first_known
-        positions[channel] = filled
-        mask[channel] = True
+            last = track.get(f, last)
+            positions[channel, i] = last
+    mask = np.arange(n_channels) < len(chosen)
     return Scene(positions=positions, channel_mask=mask, target_index=0)
 
 
-def normalize(scene, t_obs=T_OBS):
+def normalize(scene):
     """Translate so the target's last observed point is the origin."""
-    offset = scene.positions[scene.target_index, t_obs - 1].copy()
+    offset = scene.positions[scene.target_index, T_OBS - 1].copy()
     positions = scene.positions - offset
     positions[~scene.channel_mask] = 0.0
     return Scene(positions=positions, channel_mask=scene.channel_mask.copy(),
@@ -196,14 +187,15 @@ def denormalize_points(points, origin):
 
 
 def build_segments(records, n_channels, stride=5, source_file=""):
-    """parse -> resample output to normalized SegmentSamples."""
+    """parse -> resample output to normalized SegmentSamples, ordered by
+    (vehicle id, start frame)."""
+    index = index_log(records)
     samples = []
-    for window in segment_windows(records, stride=stride, source_file=source_file):
-        scene = normalize(select_neighbors(window, records, n_channels))
+    for window in segment_windows(index, stride=stride):
+        scene = normalize(select_neighbors(window, index, n_channels))
         samples.append(SegmentSample(scene=scene, source_file=source_file,
                                      vehicle_id=window["vehicle_id"],
                                      start_frame=window["start_frame"]))
-    samples.sort(key=lambda s: (s.source_file, s.vehicle_id, s.start_frame))
     return samples
 
 

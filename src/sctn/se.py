@@ -41,14 +41,13 @@ def excite(z, weights):
     return ad.reshape(s, (z.shape[0],))
 
 
-def se_pass(e, weights, channel_mask=None):
+def se_pass(e, weights, channel_mask):
     """Full squeeze -> excite -> scale pass, shape preserving.
 
-    Padded (absent-agent) channels contribute zero to the squeeze so that
-    values inside them can never influence real channels; the weights they
-    receive are inert because their outputs are masked downstream.
+    Padded (absent-agent) channels, False in channel_mask, contribute zero to
+    the squeeze so that values inside them can never influence real channels;
+    the weights they receive are inert because their outputs are masked
+    downstream.
     """
-    z = squeeze(e)
-    if channel_mask is not None:
-        z = ad.mul(z, Tensor(np.asarray(channel_mask, dtype=z.dtype)))
+    z = ad.mul(squeeze(e), Tensor(np.asarray(channel_mask, dtype=e.dtype)))
     return ad.scale_channels(e, excite(z, weights))

@@ -83,7 +83,7 @@ class TestCriterion1GradientIntegrity:
                           w2=t64(rng.normal(size=(1, 3)), grad=True))
 
         def se_loss(_p):
-            out = se.se_pass(e, sw)
+            out = se.se_pass(e, sw, np.ones(3, bool))
             return ad.mean(ad.mul(out, out))
 
         for param in (sw.w1, sw.w2, e):
@@ -180,7 +180,7 @@ class TestCriterion3SeInvariants:
         # zero weights halve every channel exactly
         e = t64(rng.normal(size=(3, 4, 5)))
         zero = se.SEWeights(w1=t64(np.zeros((3, 1))), w2=t64(np.zeros((1, 3))))
-        halved = se.se_pass(e, zero).data
+        halved = se.se_pass(e, zero, np.ones(3, bool)).data
         ok &= bool(np.array_equal(halved, 0.5 * e.data))
         detail.append("zero weights -> 0.5")
 
@@ -190,7 +190,7 @@ class TestCriterion3SeInvariants:
         const[1] = -1.25
         z = se.squeeze(t64(const)).data
         ok &= z[0] == 2.5 and z[1] == -1.25
-        ok &= se.se_pass(e, zero).shape == e.shape
+        ok &= se.se_pass(e, zero, np.ones(3, bool)).shape == e.shape
         detail.append("squeeze/shape")
 
         # scalar hand oracle for the excitation formula

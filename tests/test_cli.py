@@ -242,6 +242,15 @@ class TestConfigEcho:
                     "model_dim = 16", "heads = 2", "ffn_dim = 64"):
             assert key in echo
 
+    def test_ablate_echo_leaves_out_keys_each_cell_sets(self, tmp_path, small_cfg):
+        cache = synth(tmp_path, small_cfg)
+        out = tmp_path / "abl"
+        assert run(["ablate", "--config", small_cfg, "--data", cache, "--out", out]) == 0
+        echo = (out / "config.txt").read_text().splitlines()
+        assert not [line for line in echo
+                    if line.startswith(("n_agents =", "se_enabled ="))]
+        assert "ablation_neighbors = 2,3" in echo
+
     def test_echo_names_profile_of_paper_checkpoint(self, tmp_path, small_cfg):
         cache = synth(tmp_path, small_cfg)
         ckpt = tmp_path / "paper.sctn"

@@ -3,9 +3,9 @@ import pytest
 
 from sctn import data as data_mod
 from sctn.data import (FOOT_IN_METRES, T_OBS, WINDOW, TrackRecord,
-                       build_segments, normalize, parse_trajectory_csv,
-                       resample, segment_windows, select_neighbors,
-                       split_dataset, synthesize_scenes)
+                       build_segments, index_log, normalize,
+                       parse_trajectory_csv, resample, segment_windows,
+                       select_neighbors, split_dataset, synthesize_scenes)
 from sctn.errors import DataError
 from sctn.model import Scene
 
@@ -92,18 +92,18 @@ class TestSegment:
         return [TrackRecord(vid, f, float(f), 0.0) for f in range(n)]
 
     def test_exactly_one_window(self):
-        assert len(segment_windows(self.track(40), stride=5)) == 1
+        assert len(segment_windows(index_log(self.track(40)), stride=5)) == 1
 
     def test_two_windows(self):
-        wins = segment_windows(self.track(45), stride=5)
+        wins = segment_windows(index_log(self.track(45)), stride=5)
         assert [w["start_frame"] for w in wins] == [0, 5]
 
     def test_too_short(self):
-        assert segment_windows(self.track(39), stride=5) == []
+        assert segment_windows(index_log(self.track(39)), stride=5) == []
 
     def test_gap_dropped(self):
         recs = [r for r in self.track(40) if r.frame_id != 20]
-        assert segment_windows(recs, stride=5) == []
+        assert segment_windows(index_log(recs), stride=5) == []
 
 
 class TestSelectNeighbors:
@@ -113,9 +113,10 @@ class TestSelectNeighbors:
         for vid, off in enumerate([0.0] + list(offsets), start=1):
             for f in range(WINDOW):
                 recs.append(TrackRecord(vid, f, off, float(f)))
-        window = segment_windows(recs, stride=WINDOW)[0]
+        index = index_log(recs)
+        window = segment_windows(index, stride=WINDOW)[0]
         assert window["vehicle_id"] == 1
-        return select_neighbors(window, recs, n_channels)
+        return select_neighbors(window, index, n_channels)
 
     def test_padding(self):
         scene = self.build([1.0, 2.0], 5)
@@ -139,10 +140,41 @@ class TestSelectNeighbors:
             recs.append(TrackRecord(1, f, 0.0, float(f)))
         for f in range(20):  # neighbour leaves after frame 19
             recs.append(TrackRecord(2, f, 1.0, float(f)))
-        window = segment_windows(recs, stride=WINDOW)[0]
-        scene = select_neighbors(window, recs, 2)
+        index = index_log(recs)
+        scene = select_neighbors(segment_windows(index, stride=WINDOW)[0], index, 2)
         np.testing.assert_array_equal(
             scene.positions[1, 19:], np.broadcast_to([1.0, 19.0], (WINDOW - 19, 2)))
+
+
+class TestSelectionRules:
+    """Neighbour rules as `build_segments` applies them to a whole log; the
+    target (vehicle 1) is at x = 0, y = frame, and the scene is normalized so
+    its anchor (frame T_OBS - 1) is the origin."""
+
+    def scene(self, tracks, n_channels):
+        recs = [TrackRecord(1, f, 0.0, float(f)) for f in range(WINDOW)]
+        for vid, (x, frames) in enumerate(tracks, start=2):
+            recs += [TrackRecord(vid, f, x, float(f)) for f in frames]
+        return build_segments(recs, n_channels, stride=WINDOW)[0].scene
+
+    def test_late_neighbour_backfilled_with_first_position(self):
+        scene = self.scene([(1.0, range(10, WINDOW))], 2)
+        np.testing.assert_array_equal(
+            scene.positions[1, :11], np.broadcast_to([1.0, 10.0 - (T_OBS - 1)], (11, 2)))
+        assert scene.positions[1, 11, 1] == 11.0 - (T_OBS - 1)
+
+    def test_vehicle_absent_at_anchor_never_chosen(self):
+        left = (0.5, range(T_OBS - 1))           # leaves just before the anchor
+        joined = (0.5, range(T_OBS, WINDOW))     # enters just after it
+        scene = self.scene([left, joined, (5.0, range(WINDOW))], 4)
+        assert scene.channel_mask.tolist() == [True, True, False, False]
+        np.testing.assert_array_equal(scene.positions[1, :, 0], 5.0)
+
+    def test_farthest_dropped_when_crowded(self):
+        offsets = [4.0, -1.0, 6.0, 2.0, -3.0, 5.0]
+        scene = self.scene([(x, range(WINDOW)) for x in offsets], 4)
+        assert scene.channel_mask.all()
+        assert scene.positions[1:, 0, 0].tolist() == [-1.0, 2.0, -3.0]
 
 
 class TestNormalize:

@@ -86,7 +86,7 @@ class TestFullPass:
         width = se.bottleneck_width(5, 2)
         w = SEWeights(w1=t(rng.normal(size=(5, width))),
                       w2=t(rng.normal(size=(width, 5))))
-        assert se.se_pass(e, w).shape == (5, 6, 7)
+        assert se.se_pass(e, w, np.ones(5, bool)).shape == (5, 6, 7)
 
     def test_only_attenuates(self):
         rng = np.random.default_rng(5)
@@ -94,13 +94,13 @@ class TestFullPass:
         width = se.bottleneck_width(4, 2)
         w = SEWeights(w1=t(rng.normal(size=(4, width))),
                       w2=t(rng.normal(size=(width, 4))))
-        out = se.se_pass(t(e), w).data
+        out = se.se_pass(t(e), w, np.ones(4, bool)).data
         for c in range(4):
             assert np.linalg.norm(out[c]) <= np.linalg.norm(e[c])
 
     def test_zero_init_halves_every_channel(self):
         e = np.random.default_rng(6).normal(size=(3, 4, 5))
-        out = se.se_pass(t(e), zero_weights(3)).data
+        out = se.se_pass(t(e), zero_weights(3), np.ones(3, bool)).data
         np.testing.assert_allclose(out, e / 2, atol=1e-12)
 
     def test_masked_channels_cannot_influence_real_ones(self):
@@ -124,11 +124,11 @@ class TestFullPass:
         e = t(rng.normal(size=(3, 4, 5)), grad=True)
 
         def f_input(p):
-            out = se.se_pass(p, SEWeights(w1=w1, w2=w2))
+            out = se.se_pass(p, SEWeights(w1=w1, w2=w2), np.ones(3, bool))
             return ad.mean(ad.mul(out, out))
 
         def f_w1(p):
-            out = se.se_pass(e, SEWeights(w1=p, w2=w2))
+            out = se.se_pass(e, SEWeights(w1=p, w2=w2), np.ones(3, bool))
             return ad.mean(ad.mul(out, out))
 
         assert ad.finite_difference_check(f_input, e) < 1e-4
