@@ -1,12 +1,14 @@
 """Ablation grid: neighbour counts x channel-attention on/off.
 
-Each cell retargets the dataset to its neighbour count, trains a fresh model
-under the shared budget, and evaluates. A failing cell records its error and
-the remaining cells still run.
+Each cell runs the recipe of `sctn train` followed by `sctn evaluate`: it
+retargets the train, validation and test splits to its neighbour count,
+trains fresh weights on the train split, keeps the epoch with the lowest
+validation loss, and scores the held-out test split. A failing cell records
+its error and the remaining cells still run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import data as data_mod
 from .metrics import evaluate
@@ -15,15 +17,6 @@ from .optim import train
 
 # every neighbour count is run with channel attention on, then off
 SE_TOGGLES = (True, False)
-
-
-@dataclass
-class AblationConfig:
-    neighbor_counts: list = field(default_factory=lambda: [5, 10, 15])
-    epochs: int = 3
-    batch_size: int = 16
-    lr: float = 0.01
-    seed: int = 0
 
 
 @dataclass
@@ -38,29 +31,24 @@ class AblationCell:
         return self.report is not None
 
 
-def ablate(ablation_config, samples, base_model_config):
-    """Run every (neighbour count x SE toggle) cell; returns list of cells."""
+def ablate(split, base, neighbor_counts, epochs, batch_size, lr):
+    """Run every (neighbour count x SE toggle) cell on a DatasetSplit; base
+    gives the model keys and the seed. Returns the cells in grid order."""
     cells = []
-    for n in ablation_config.neighbor_counts:
-        try:
-            retargeted = [data_mod.retarget_neighbors(s, n) for s in samples]
-        except Exception as exc:  # bad count fails its column, not the grid
-            cells.extend(AblationCell(neighbors=n, se_enabled=se_on,
-                                      error=f"{type(exc).__name__}: {exc}")
-                         for se_on in SE_TOGGLES)
-            continue
+    for n in neighbor_counts:
         for se_on in SE_TOGGLES:
             cell = AblationCell(neighbors=n, se_enabled=se_on)
-            try:
-                cfg = replace(base_model_config, n_agents=n, se_enabled=se_on,
-                              seed=ablation_config.seed)
+            try:  # a bad count or cell fails its own cells, not the grid
+                train_set, val_set, test_set = (
+                    [data_mod.retarget_neighbors(s, n) for s in part]
+                    for part in (split.train, split.validation, split.test))
+                cfg = replace(base, n_agents=n, se_enabled=se_on)
                 weights = ModelWeights(cfg)
-                train(retargeted, [], weights, cfg,
-                      epochs=ablation_config.epochs,
-                      batch_size=ablation_config.batch_size,
-                      seed=ablation_config.seed, lr=ablation_config.lr)
-                cell.report = evaluate(weights, retargeted, cfg)
-            except Exception as exc:  # a bad cell must not abort its siblings
+                result = train(train_set, val_set, weights, cfg, epochs=epochs,
+                               batch_size=batch_size, seed=cfg.seed, lr=lr)
+                weights.load_state_dict(result.best_state)
+                cell.report = evaluate(weights, test_set, cfg)
+            except Exception as exc:
                 cell.error = f"{type(exc).__name__}: {exc}"
             cells.append(cell)
     return cells
@@ -69,20 +57,17 @@ def ablate(ablation_config, samples, base_model_config):
 def grid_csv(cells):
     """Table-shaped summary plus per-cell deltas against the SE-off twin."""
     lines = ["neighbors,se,horizon_s,ade_m,fde_m,rmse_m,ade_delta_vs_no_se"]
-    twins = {(c.neighbors, c.se_enabled): c for c in cells}
+    off_rows = {c.neighbors: c.report.rows for c in cells if c.ok and not c.se_enabled}
     for cell in cells:
+        prefix = f"{cell.neighbors},{'on' if cell.se_enabled else 'off'}"
         if not cell.ok:
-            lines.append(f"{cell.neighbors},{'on' if cell.se_enabled else 'off'},"
-                         f"error,,,,{cell.error}")
+            lines.append(f"{prefix},error,,,,{cell.error}")
             continue
-        twin = twins.get((cell.neighbors, False))
-        for row in cell.report.rows:
-            delta = ""
-            if cell.se_enabled and twin is not None and twin.ok:
-                twin_row = next(r for r in twin.report.rows
-                                if r["horizon_s"] == row["horizon_s"])
-                delta = f"{row['ade'] - twin_row['ade']:+.6f}"
-            lines.append(f"{cell.neighbors},{'on' if cell.se_enabled else 'off'},"
-                         f"{row['horizon_s']},{row['ade']:.6f},{row['fde']:.6f},"
+        rows = cell.report.rows
+        twin_rows = off_rows.get(cell.neighbors) if cell.se_enabled else None
+        deltas = ([f"{row['ade'] - twin['ade']:+.6f}" for row, twin in zip(rows, twin_rows)]
+                  if twin_rows else [""] * len(rows))
+        for row, delta in zip(rows, deltas):
+            lines.append(f"{prefix},{row['horizon_s']},{row['ade']:.6f},{row['fde']:.6f},"
                          f"{row['rmse']:.6f},{delta}")
     return "\n".join(lines) + "\n"

@@ -147,14 +147,19 @@ def _cmd_train(args, cfg):
     return 0
 
 
+def _held_out(split, path):
+    """The test split, the only segments a score is taken on."""
+    if not split.test:
+        raise DataError(f"the test split of {path} is empty; "
+                        f"only held-out segments are scored")
+    return split.test
+
+
 def _cmd_evaluate(args, cfg):
     split = checkpoint.load_segment_cache(args.data)
     weights = checkpoint.load_model_checkpoint(args.checkpoint)
     _echo_model(args, cfg, weights.config)
-    if not split.test:
-        raise DataError(f"the test split of {args.data} is empty; "
-                        f"evaluate scores held-out segments only")
-    report = metrics.evaluate(weights, split.test, weights.config)
+    report = metrics.evaluate(weights, _held_out(split, args.data), weights.config)
     csv_text = report.to_csv()
     (args.out / "metrics.csv").write_text(csv_text)
     print(csv_text, end="")
@@ -193,15 +198,13 @@ def _cmd_predict(args, cfg):
 
 def _cmd_ablate(args, cfg):
     split = checkpoint.load_segment_cache(args.data)
-    samples = split.all_samples()
-    acfg = ablation_mod.AblationConfig(
-        neighbor_counts=config_mod.neighbor_counts(cfg), epochs=cfg["ablation_epochs"],
-        batch_size=cfg["batch_size"], lr=cfg["lr"], seed=cfg["seed"])
-    base = config_mod.model_config_from(cfg)
+    _held_out(split, args.data)
     # every grid cell sets its own agent count and channel-attention toggle
     _echo(args, {key: value for key, value in cfg.items()
                  if key not in ("n_agents", "se_enabled")})
-    cells = ablation_mod.ablate(acfg, samples, base)
+    cells = ablation_mod.ablate(split, config_mod.model_config_from(cfg),
+                                config_mod.neighbor_counts(cfg), cfg["ablation_epochs"],
+                                cfg["batch_size"], cfg["lr"])
     text = ablation_mod.grid_csv(cells)
     (args.out / "ablation.csv").write_text(text)
     print(text, end="")

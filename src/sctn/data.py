@@ -11,6 +11,7 @@ desk-scale datasets without any real logs.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,7 +83,7 @@ def parse_trajectory_csv(path, units="meters"):
                 y = float(row[cols["local_y"]]) * factor
             except (ValueError, IndexError) as exc:
                 raise DataError(f"{path}:{lineno}: unparseable row: {exc}") from None
-            if not (np.isfinite(x) and np.isfinite(y)):
+            if not (math.isfinite(x) and math.isfinite(y)):
                 raise DataError(f"{path}:{lineno}: non-finite coordinate")
             if (vid, fid) in seen:
                 raise DataError(f"{path}:{lineno}: duplicate (vehicle {vid}, frame {fid})")
@@ -94,8 +95,6 @@ def parse_trajectory_csv(path, units="meters"):
 
 def resample(records, factor=2):
     """Keep every factor-th frame per vehicle, anchored at its first frame."""
-    if factor == 1:
-        return list(records)
     out = []
     first_frame = {}
     for r in records:

@@ -90,7 +90,8 @@ def config_for_profile(profile, **overrides):
 
 @dataclass
 class Scene:
-    """N agent channels over T frames; channel 0 is conventionally the target."""
+    """N agent channels over T frames of finite positions; channel 0 is
+    conventionally the target."""
     positions: np.ndarray          # N x T x 2, metres in the segment frame
     channel_mask: np.ndarray       # N bools, True = real agent
     target_index: int = 0
@@ -105,6 +106,8 @@ class Scene:
                             f"{self.channel_mask.shape} are not N x T x 2 and N")
         if not (0 <= self.target_index < shape[0] and self.channel_mask[self.target_index]):
             raise DataError(f"target channel {self.target_index} must be a real agent")
+        if not np.isfinite(self.positions).all():
+            raise DataError("positions hold non-finite coordinates")
 
     @property
     def n_agents(self):

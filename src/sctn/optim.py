@@ -134,7 +134,8 @@ def train(train_samples, val_samples, weights, config, epochs, batch_size=16,
     """Teacher-forced training; checkpoints the best validation loss.
 
     Returns a TrainResult; `weights` holds the final-epoch parameters, while
-    best_state snapshots the lowest-validation-loss epoch.
+    best_state snapshots the lowest-validation-loss epoch (the initial
+    parameters when epochs is 0).
     """
     if epochs < 0:
         raise UsageError("epochs must be >= 0")
@@ -144,7 +145,6 @@ def train(train_samples, val_samples, weights, config, epochs, batch_size=16,
     state = adam_init(params, lr=lr)
     rng = CounterRng(seed)
     trace = []
-    best_state = weights.state_dict()
     best_val = float("inf")
     for epoch in range(epochs):
         t0 = time.perf_counter()
@@ -179,5 +179,6 @@ def train(train_samples, val_samples, weights, config, epochs, batch_size=16,
         if log is not None:
             log(record)
     if epochs == 0:
+        best_state = weights.state_dict()
         best_val = evaluate_loss(val_samples, weights, config) if val_samples else float("nan")
     return TrainResult(trace=trace, best_state=best_state, best_val_loss=best_val)

@@ -367,10 +367,11 @@ class TestCriterion9AblationHarness:
     def test_default_grid_and_isolation(self):
         start = time.perf_counter()
         samples = data_mod.synthesize_scenes(4, "linear", seed=9, n_agents=5)
+        split = data_mod.DatasetSplit(train=samples[:2], validation=samples[2:3],
+                                      test=samples[3:])
         base = ModelConfig(n_agents=5, t_obs=15, t_pred=25, model_dim=16,
                            heads=2, layers=1, dropout=0.0)
-        acfg = ablation_mod.AblationConfig(epochs=1, batch_size=4, lr=1e-3)
-        cells = ablation_mod.ablate(acfg, samples, base)
+        cells = ablation_mod.ablate(split, base, [5, 10, 15], 1, 4, 1e-3)
         grid = {(c.neighbors, c.se_enabled) for c in cells}
         ok = len(cells) == 6
         ok &= grid == {(n, s) for n in (5, 10, 15) for s in (True, False)}
@@ -381,10 +382,7 @@ class TestCriterion9AblationHarness:
         elapsed = time.perf_counter() - start
 
         # a failing cell must not abort its siblings
-        broken = ablation_mod.ablate(
-            ablation_mod.AblationConfig(neighbor_counts=[0, 5], epochs=1,
-                                        batch_size=4, lr=1e-3),
-            samples, base)
+        broken = ablation_mod.ablate(split, base, [0, 5], 1, 4, 1e-3)
         ok &= not broken[0].ok and not broken[1].ok
         ok &= broken[2].ok and broken[3].ok
         ok &= elapsed < 120
@@ -406,6 +404,7 @@ class TestCriterion10ReportLayout:
         ok &= len(ref_lines) == 1
         ok &= "1.90" in ref_lines[0] and "4.66" in ref_lines[0] \
             and "3.16" in ref_lines[0]
-        # displayed only: validate() succeeds regardless of distance from it
-        ok &= report.validate()
+        # displayed only: every value is a distance, whatever its gap to it
+        ok &= all(math.isfinite(r[key]) and r[key] >= 0
+                  for r in report.rows for key in ("ade", "fde", "rmse"))
         verdict(10, "report layout", ok, "5 rows x 3 metrics + reference row")

@@ -370,6 +370,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "data error" in err and "test split" in err
         assert not (tmp_path / "e" / "metrics.csv").exists()
+        assert run(["ablate", "--config", cfg, "--data", cache, "--out", tmp_path / "a"]) == 2
+        assert "test split" in capsys.readouterr().err
+        assert not (tmp_path / "a" / "ablation.csv").exists()
+
+    @staticmethod
+    def plant_nan(cache, split_name, frame):
+        """Write NaN into the first segment of split_name at one frame."""
+        tensors = checkpoint.load_tensors(cache)
+        code = ("train", "validation", "test").index(split_name)
+        idx = next(i for i in range(len(tensors))
+                   if tensors[f"segment/{i:05d}/meta"][5] == code)
+        tensors[f"segment/{idx:05d}/positions"][0, frame] = np.nan
+        checkpoint.save_tensors(cache, tensors)
+        return idx
+
+    def test_nan_in_test_future_is_data_error(self, tmp_path, small_cfg, capsys):
+        cache, ckpt = untrained_checkpoint(tmp_path, small_cfg)
+        idx = self.plant_nan(cache, "test", -1)
+        assert run(["evaluate", "--config", small_cfg, "--data", cache,
+                    "--checkpoint", ckpt, "--out", tmp_path / "e"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"segment {idx}:" in err
+        assert "non-finite" in err
+
+    def test_nan_in_train_segment_is_data_error(self, tmp_path, small_cfg, capsys):
+        cache = synth(tmp_path, small_cfg)
+        idx = self.plant_nan(cache, "train", 3)
+        assert run(["train", "--config", small_cfg, "--data", cache,
+                    "--out", tmp_path / "t"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"segment {idx}:" in err
+        assert not (tmp_path / "t" / "model.sctn").exists()
 
     def test_mixed_agent_counts_are_data_error(self, tmp_path, small_cfg, capsys):
         three = data_mod.synthesize_scenes(2, "linear", seed=0, n_agents=3)

@@ -1,6 +1,7 @@
-"""Golden `prepare` run: the segment cache written for a fixed log is pinned by
-its SHA-256, so a change that means to keep the data path's behaviour shows
-that it does, bit for bit.
+"""Golden runs. A change that means to keep behaviour shows that it does.
+
+The `prepare` run pins the segment cache written for a fixed log by its
+SHA-256, so the data path is held bit for bit.
 
 The log is built here, from integer arithmetic only, so it is the same on
 every platform. It holds vehicles on both frame parities, vehicles that enter
@@ -12,6 +13,9 @@ GOLDEN_MANIFEST and says why.
 """
 import hashlib
 
+import numpy as np
+
+from sctn import checkpoint
 from sctn.cli import main
 
 GOLDEN_SHA256 = "424c3825401ea653827a8a76f61d6be230cfbfa52d4d16729eb311d5f5e1a535"
@@ -61,3 +65,184 @@ def test_prepare_output_is_pinned(tmp_path):
     digest = hashlib.sha256((out / "segments.sctn").read_bytes()).hexdigest()
     manifest = (out / "segments.sctn.manifest").read_text().replace(str(log), "<log>")
     assert (digest, manifest) == (GOLDEN_SHA256, GOLDEN_MANIFEST)
+
+
+def test_ablate_cell_matches_train_then_evaluate(tmp_path):
+    """An ablation cell is `sctn train` then `sctn evaluate` with its settings:
+    it scores the held-out test split with the best-validation weights."""
+    log = tmp_path / "log.csv"
+    write_log(log)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model_dim = 16\nheads = 2\nlayers = 1\nepochs = 1\n"
+                   "ablation_neighbors = 5\nablation_epochs = 1\n")
+    cache = tmp_path / "prep" / "segments.sctn"
+
+    def run(*argv):
+        assert main([str(a) for a in [*argv, "--config", cfg]]) == 0
+
+    run("prepare", "--data", log, "--out", cache.parent, "--units", "feet",
+        "--neighbors", "5", "--seed", "0")
+    expected = {}
+    for se in ("on", "off"):
+        run("train", "--data", cache, "--se", se, "--out", tmp_path / f"train_{se}")
+        run("evaluate", "--data", cache, "--checkpoint", tmp_path / f"train_{se}" / "model.sctn",
+            "--out", tmp_path / f"eval_{se}")
+        lines = (tmp_path / f"eval_{se}" / "metrics.csv").read_text().splitlines()
+        expected[se] = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+    run("ablate", "--data", cache, "--out", tmp_path / "abl")
+    lines = (tmp_path / "abl" / "ablation.csv").read_text().splitlines()[1:]
+    cells = [line.split(",") for line in lines]
+    for se in ("on", "off"):
+        rows = [cell[2:6] for cell in cells if cell[:2] == ["5", se]]
+        assert len(rows) == 5 and rows == expected[se], se
+
+
+# The trained run: `synth --seed 3 --count 16 --kind interaction`, then
+# `train` (D = 16, 2 heads, 2 layers, 3 epochs, float32), `evaluate` and
+# `predict --segment 2`. Its figures were recorded before the change that
+# added this test altered anything under src/. Float32 training on another
+# BLAS may differ in the last bits, hence the tolerance.
+TRAINED_CFG = "model_dim = 16\nheads = 2\nlayers = 2\nepochs = 3\n"
+TRAINED_REL = 1e-5
+TRAINED_ABS = 1e-5  # metres, for predicted points near 0
+TRAINED_GOLDEN = dict(
+    losses=[[30.1059696, 25.195797], [24.0830064, 22.9678078], [21.3839762, 21.5337772]],
+    metrics=[[1.0, 4.03203, 4.653945, 5.442182],
+             [2.0, 4.737921, 5.945594, 6.334772],
+             [3.0, 5.511428, 7.986224, 7.251987],
+             [4.0, 6.514247, 10.542695, 8.322498],
+             [5.0, 7.605999, 12.9362, 9.475189]],
+    known_sha256="69fa57d9a460095df04ca9e80331caca5a33e92c940e6bb12eff55ece643994d",
+    predicted={"0@19": [0.45454, -1.14869],
+               "0@24": [-1.674269, -2.48708],
+               "0@29": [-1.756488, -2.53452],
+               "0@34": [-2.133963, -2.356003],
+               "0@39": [-1.951753, -2.46481],
+               "1@19": [-1.418322, -2.569043],
+               "1@24": [-2.111817, -2.390392],
+               "1@29": [-1.989283, -2.477721],
+               "1@34": [-2.249229, -2.327748],
+               "1@39": [-2.062295, -2.435373],
+               "2@19": [-0.95983, -2.420278],
+               "2@24": [-2.31248, -2.126372],
+               "2@29": [-2.074393, -2.319592],
+               "2@34": [-2.515668, -1.826802],
+               "2@39": [-2.233818, -2.159879]},
+    norms={"embed/w": 2.48139469,
+           "embed/b": 0.0822403185,
+           "se_enc/w1": 0.493529487,
+           "se_enc/w2": 0.85853864,
+           "enc0/attn/wq": 2.29788362,
+           "enc0/attn/wk": 2.3636808,
+           "enc0/attn/wv": 2.34772438,
+           "enc0/attn/wo": 2.24735829,
+           "enc0/attn_norm/gain": 3.99294474,
+           "enc0/attn_norm/bias": 0.0842900434,
+           "enc0/ffn/w1": 4.77122567,
+           "enc0/ffn/b1": 0.156334467,
+           "enc0/ffn/w2": 2.35601345,
+           "enc0/ffn/b2": 0.079787238,
+           "enc0/ffn_norm/gain": 3.98881101,
+           "enc0/ffn_norm/bias": 0.0792307959,
+           "enc1/attn/wq": 2.25158088,
+           "enc1/attn/wk": 2.30137389,
+           "enc1/attn/wv": 2.37396958,
+           "enc1/attn/wo": 2.28832538,
+           "enc1/attn_norm/gain": 3.98822517,
+           "enc1/attn_norm/bias": 0.0823777396,
+           "enc1/ffn/w1": 4.81884096,
+           "enc1/ffn/b1": 0.154643397,
+           "enc1/ffn/w2": 2.37365922,
+           "enc1/ffn/b2": 0.0721727458,
+           "enc1/ffn_norm/gain": 3.95845024,
+           "enc1/ffn_norm/bias": 0.0617064121,
+           "dec0/self/wq": 2.3209314,
+           "dec0/self/wk": 2.38479452,
+           "dec0/self/wv": 2.31517162,
+           "dec0/self/wo": 2.33769229,
+           "dec0/self_norm/gain": 4.02082493,
+           "dec0/self_norm/bias": 0.0887393541,
+           "dec0/cross/wq": 2.32591772,
+           "dec0/cross/wk": 2.41373094,
+           "dec0/cross/wv": 2.28839563,
+           "dec0/cross/wo": 2.22524159,
+           "dec0/cross_norm/gain": 4.01821979,
+           "dec0/cross_norm/bias": 0.0877063269,
+           "dec0/ffn/w1": 4.68007532,
+           "dec0/ffn/b1": 0.187890941,
+           "dec0/ffn/w2": 2.41130449,
+           "dec0/ffn/b2": 0.0826861634,
+           "dec0/ffn_norm/gain": 4.00772107,
+           "dec0/ffn_norm/bias": 0.0816557149,
+           "dec1/self/wq": 2.26876795,
+           "dec1/self/wk": 2.37483623,
+           "dec1/self/wv": 2.20248842,
+           "dec1/self/wo": 2.26631807,
+           "dec1/self_norm/gain": 4.00329522,
+           "dec1/self_norm/bias": 0.0829760551,
+           "dec1/cross/wq": 2.39062215,
+           "dec1/cross/wk": 2.36552164,
+           "dec1/cross/wv": 2.31494629,
+           "dec1/cross/wo": 2.35316497,
+           "dec1/cross_norm/gain": 4.01014462,
+           "dec1/cross_norm/bias": 0.0822347601,
+           "dec1/ffn/w1": 4.73193959,
+           "dec1/ffn/b1": 0.184992739,
+           "dec1/ffn/w2": 2.39331726,
+           "dec1/ffn/b2": 0.0820729593,
+           "dec1/ffn_norm/gain": 4.06232754,
+           "dec1/ffn_norm/bias": 0.112286883,
+           "out/w": 0.913209807,
+           "out/b": 0.0404203458},
+)
+
+
+def _figure(value):
+    return float(f"{float(value):.9g}")
+
+
+def trained_run(tmp_path):
+    """The pinned figures of the trained run: (train, val) loss per epoch,
+    metrics.csv rows, the obs/gt rows of trajectories.csv by SHA-256, the
+    predicted point of each agent at each whole second, and the L2 norm of
+    every checkpoint tensor."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TRAINED_CFG)
+    cache = tmp_path / "synth" / "segments.sctn"
+    ckpt = tmp_path / "train" / "model.sctn"
+    for argv in (["synth", "--seed", "3", "--count", "16", "--kind", "interaction",
+                  "--out", cache.parent],
+                 ["train", "--data", cache, "--out", ckpt.parent],
+                 ["evaluate", "--data", cache, "--checkpoint", ckpt,
+                  "--out", tmp_path / "eval"],
+                 ["predict", "--data", cache, "--checkpoint", ckpt, "--segment", "2",
+                  "--out", tmp_path / "pred"]):
+        assert main([str(a) for a in [*argv, "--config", cfg]]) == 0
+    log = (ckpt.parent / "run_log.csv").read_text().splitlines()[1:]
+    metrics = (tmp_path / "eval" / "metrics.csv").read_text().splitlines()[1:-1]
+    traj = (tmp_path / "pred" / "trajectories.csv").read_text().splitlines()[1:]
+    rows = [line.split(",") for line in traj]
+    known = "\n".join(line for line, row in zip(traj, rows) if row[2] != "pred")
+    weights = checkpoint.load_model_checkpoint(ckpt)
+    return dict(
+        losses=[[_figure(v) for v in line.split(",")[1:3]] for line in log],
+        metrics=[[_figure(v) for v in line.split(",")] for line in metrics],
+        known_sha256=hashlib.sha256(known.encode()).hexdigest(),
+        predicted={f"{row[1]}@{row[3]}": [_figure(row[4]), _figure(row[5])]
+                   for row in rows if row[2] == "pred" and (int(row[3]) - 14) % 5 == 0},
+        norms={name: _figure(np.linalg.norm(t.data.astype(np.float64)))
+               for name, t in weights.registry.items()},
+    )
+
+
+def test_train_evaluate_predict_outputs_are_pinned(tmp_path):
+    observed = trained_run(tmp_path)
+    expected = TRAINED_GOLDEN
+    assert observed["known_sha256"] == expected["known_sha256"]
+    for key in ("losses", "metrics", "predicted", "norms"):
+        got, want = observed[key], expected[key]
+        if isinstance(want, dict):
+            assert list(got) == list(want), key
+            got, want = list(got.values()), list(want.values())
+        np.testing.assert_allclose(got, want, rtol=TRAINED_REL, atol=TRAINED_ABS,
+                                   err_msg=key)

@@ -138,6 +138,15 @@ class TestTrain:
         for name, arr in weights.state_dict().items():
             np.testing.assert_array_equal(arr, before[name])
 
+    def test_zero_epochs_returns_initial_state_and_its_validation_loss(self):
+        cfg, weights, samples = toy_training_setup()
+        before = weights.state_dict()
+        result = train(samples[:1], samples[1:], weights, cfg, epochs=0)
+        assert list(result.best_state) == list(before)
+        for name, arr in result.best_state.items():
+            np.testing.assert_array_equal(arr, before[name])
+        assert result.best_val_loss == optim.evaluate_loss(samples[1:], weights, cfg)
+
     def test_empty_split_rejected(self):
         cfg, weights, _ = toy_training_setup()
         with pytest.raises(DataError):
