@@ -26,18 +26,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-# argparse settings of each flag; _SUBCOMMANDS, after the commands, says
-# which subcommands register it
+# argparse settings of each flag, whose dest is the config key it sets if it
+# sets one; _SUBCOMMANDS, after the commands, says which subcommands register it
 _FLAG_ARGS = {
     "data": dict(type=Path, required=True, help="input CSV (prepare) or segment cache"),
     "seed": dict(type=int, help="master random seed"),
     "profile": dict(choices=("desk", "paper")),
-    "neighbors": dict(type=int, help="agent channel count N"),
-    "se": dict(choices=("on", "off"), help="channel attention toggle"),
+    "neighbors": dict(type=int, dest="n_agents", metavar="NEIGHBORS",
+                      help="agent channel count N"),
+    "se": dict(choices=("on", "off"), dest="se_enabled", help="channel attention toggle"),
     "epochs": dict(type=int),
-    "batch": dict(type=int),
-    "count": dict(type=int),
-    "kind": dict(choices=("linear", "turn", "interaction")),
+    "batch": dict(type=int, dest="batch_size", metavar="BATCH"),
+    "count": dict(type=int, dest="synth_count", metavar="COUNT"),
+    "kind": dict(choices=("linear", "turn", "interaction"), dest="synth_kind"),
     "units": dict(choices=("feet", "meters")),
     "checkpoint": dict(type=Path, required=True),
     "segment": dict(type=int, default=0),
@@ -57,18 +58,9 @@ def _build_parser():
 
 
 def _resolve(args):
-    overrides = dict(
-        profile=getattr(args, "profile", None),
-        seed=getattr(args, "seed", None),
-        n_agents=getattr(args, "neighbors", None),
-        epochs=getattr(args, "epochs", None),
-        batch_size=getattr(args, "batch", None),
-        units=getattr(args, "units", None),
-        synth_count=getattr(args, "count", None),
-        synth_kind=getattr(args, "kind", None),
-    )
-    if getattr(args, "se", None) is not None:
-        overrides["se_enabled"] = args.se == "on"
+    overrides = {key: value for key, value in vars(args).items() if key in config_mod.SCHEMA}
+    if overrides.get("se_enabled") is not None:
+        overrides["se_enabled"] = overrides["se_enabled"] == "on"
     file_values = config_mod.parse_config_file(args.config) if args.config else None
     return config_mod.resolve(file_values, overrides)
 

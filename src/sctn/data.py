@@ -123,13 +123,14 @@ def index_log(records):
 def segment_windows(index, stride=5):
     """Sliding 40-frame windows per target vehicle (5 Hz records).
 
-    Windows where the target misses any frame are dropped. Returns raw
+    A vehicle's frame step is the smallest gap between its frames, and
+    windows where the target misses any frame are dropped. Returns raw
     window descriptors; neighbour assignment happens in select_neighbors.
     """
     windows = []
     for vid in sorted(index.tracks):
         frames = sorted(index.tracks[vid])
-        step = frames[1] - frames[0] if len(frames) > 1 else 1
+        step = min((b - a for a, b in zip(frames, frames[1:])), default=1)
         for start in range(0, len(frames) - WINDOW + 1, stride):
             ids = frames[start:start + WINDOW]
             # contiguity check: frame ids must advance uniformly
@@ -200,8 +201,8 @@ def build_segments(records, n_channels, stride=5, source_file=""):
 
 def split_dataset(samples, seed=0, fractions=(0.7, 0.1, 0.2)):
     """Deterministic per-segment split into train/validation/test."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise DataError(f"split fractions must sum to 1, got {fractions}")
+    if abs(sum(fractions) - 1.0) > 1e-9 or not all(0 <= f <= 1 for f in fractions):
+        raise DataError(f"split fractions must lie in [0, 1] and sum to 1, got {fractions}")
     order = np.random.default_rng(seed).permutation(len(samples))
     n_train = int(round(fractions[0] * len(samples)))
     n_val = int(round(fractions[1] * len(samples)))

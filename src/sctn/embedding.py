@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 
 
 def positional_encoding(t, model_dim):
@@ -34,24 +34,16 @@ class EmbeddingWeights:
     mlp_b: Tensor  # D
 
 
-def embed_trajectory(points, weights):
-    """Affine map (x, y) -> D-vector per timestep. points: ... x 2."""
-    pts = points if isinstance(points, Tensor) else Tensor(np.asarray(points))
-    if not np.all(np.isfinite(pts.data)):
-        raise DataError("non-finite trajectory coordinates")
-    return ad.add(ad.matmul(pts, weights.mlp_w), weights.mlp_b)
-
-
-def compose_input(points, weights, table, start_t=0, dtype=np.float64):
+def compose_input(points, weights, table, start_t=0):
     """Embed an N x T x 2 scene and add the position row for each timestep.
 
-    table holds the rows of positional_encoding from timestep 0 on. The same
-    row P^t goes to every agent channel; start_t offsets the timestep index
-    (decoder-side sequences continue from T_obs).
+    The points are cast to the dtype of table, which holds the rows of
+    positional_encoding from timestep 0 on, and lifted to D by the affine map
+    of weights. The same row P^t goes to every agent channel; start_t offsets
+    the timestep index (decoder-side sequences continue from T_obs).
     """
-    points = np.asarray(points)
+    points = np.asarray(points, dtype=table.dtype)
     n, t = points.shape[0], points.shape[1]
-    emb = embed_trajectory(Tensor(points.astype(dtype)), weights)
-    pos = table[start_t:start_t + t].astype(dtype)
-    pos_block = Tensor(np.broadcast_to(pos[None, :, :], (n, t, pos.shape[1])).copy())
-    return ad.add(emb, pos_block)
+    emb = ad.add(ad.matmul(Tensor(points), weights.mlp_w), weights.mlp_b)
+    pos = table[start_t:start_t + t]
+    return ad.add(emb, Tensor(np.broadcast_to(pos, (n, t, pos.shape[1]))))

@@ -35,20 +35,25 @@ def _distances(pred, truth, channel_mask, horizon_frames):
     return np.hypot(diff[..., 0], diff[..., 1])  # n_real x horizon_frames
 
 
+def _reduce(d):
+    """ADE, FDE and RMSE of an agents x frames 1..T distance array."""
+    return dict(ade=float(d.mean()), fde=float(d[:, -1].mean()),
+                rmse=float(np.sqrt((d ** 2).mean())))
+
+
 def ade(pred, truth, channel_mask, horizon_frames):
     """Mean Euclidean distance over real agents and frames 1..T."""
-    return float(_distances(pred, truth, channel_mask, horizon_frames).mean())
+    return _reduce(_distances(pred, truth, channel_mask, horizon_frames))["ade"]
 
 
 def fde(pred, truth, channel_mask, horizon_frames):
     """Mean Euclidean distance over real agents at frame T only."""
-    return float(_distances(pred, truth, channel_mask, horizon_frames)[:, -1].mean())
+    return _reduce(_distances(pred, truth, channel_mask, horizon_frames))["fde"]
 
 
 def rmse(pred, truth, channel_mask, horizon_frames):
     """Root of the mean squared Euclidean error over agents and frames 1..T."""
-    d = _distances(pred, truth, channel_mask, horizon_frames)
-    return float(np.sqrt((d ** 2).mean()))
+    return _reduce(_distances(pred, truth, channel_mask, horizon_frames))["rmse"]
 
 
 @dataclass
@@ -84,9 +89,5 @@ def evaluate(weights, samples, config):
                                 data_mod.denormalize_points(truth, scene.origin),
                                 scene.channel_mask, config.t_pred))
     d_all = np.concatenate(dists)  # real agents of every segment x T_pred
-    rows = []
-    for h in horizons:
-        d = d_all[:, :h * FRAMES_PER_SECOND]
-        rows.append(dict(horizon_s=h, ade=float(d.mean()), fde=float(d[:, -1].mean()),
-                         rmse=float(np.sqrt((d ** 2).mean()))))
-    return MetricsReport(rows=rows)
+    return MetricsReport(rows=[dict(horizon_s=h, **_reduce(d_all[:, :h * FRAMES_PER_SECOND]))
+                               for h in horizons])

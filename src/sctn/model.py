@@ -12,7 +12,8 @@ gradient graph: a ``DecoderCache`` keeps each layer's self-attention keys and
 values of the positions decoded so far, and the cross-attention keys and
 values of the encoder latent, so each step runs the stack on the new
 position only. The causal mask makes this exact; the parallel pass is the
-test oracle.
+test oracle. Both run each layer through ``_decoder_layer`` and differ only
+in where its self-attention keys and values come from.
 """
 from __future__ import annotations
 
@@ -131,7 +132,7 @@ class ModelWeights:
         self.config = config
         self.registry = {}
         self.table = embedding.positional_encoding(
-            np.arange(config.t_obs + config.t_pred), config.model_dim)
+            np.arange(config.t_obs + config.t_pred), config.model_dim).astype(config.np_dtype)
         self._rng = np.random.default_rng(config.seed)
         self._build()
 
@@ -239,11 +240,6 @@ class ModelWeights:
 # forward passes
 # ---------------------------------------------------------------------------
 
-def _embed(points, weights, start_t):
-    return embedding.compose_input(points, weights.embed, weights.table,
-                                   start_t=start_t, dtype=weights.config.np_dtype)
-
-
 def _sublayer(x, branch, norm, cfg, training, rng):
     gain, bias = norm
     return blocks.residual_sublayer(x, branch, gain, bias,
@@ -256,7 +252,7 @@ def encode(scene, weights, config, training=False, rng=None):
     obs = scene.observed(config.t_obs)
     if obs.shape[1] != config.t_obs:
         raise DataError(f"scene has {obs.shape[1]} frames, expected {config.t_obs}")
-    x = _embed(obs, weights, start_t=0)
+    x = embedding.compose_input(obs, weights.embed, weights.table)
     if weights.se_enc is not None:
         x = se.se_pass(x, weights.se_enc, channel_mask=scene.channel_mask)
     for layer in weights.encoder:
@@ -267,21 +263,43 @@ def encode(scene, weights, config, training=False, rng=None):
     return x
 
 
+def _keys_values(x, attn):
+    """The keys and values attn projects from x, split into heads."""
+    return (blocks.project_heads(x, attn.w_k, attn.heads),
+            blocks.project_heads(x, attn.w_v, attn.heads))
+
+
+def _attend(x, attn, keys_values, mask=None):
+    """Attention of x's queries over keys and values already split into heads."""
+    queries = blocks.project_heads(x, attn.w_q, attn.heads)
+    return blocks.attend_heads(queries, *keys_values, attn, mask=mask)
+
+
+def _decoder_layer(x, layer, self_kv, cross_kv, config, mask, training, rng):
+    """One decoder layer: masked self-attention over the keys and values
+    self_kv, cross-attention over cross_kv (from the encoder latent), then
+    feed-forward, each a post-norm residual sublayer drawing its own dropout."""
+    x = _sublayer(x, _attend(x, layer["self_attn"], self_kv, mask), layer["self_norm"],
+                  config, training, rng)
+    x = _sublayer(x, _attend(x, layer["cross"], cross_kv), layer["cross_norm"],
+                  config, training, rng)
+    return _sublayer(x, blocks.feed_forward(x, layer["ffn"]), layer["ffn_norm"],
+                     config, training, rng)
+
+
 def _decode_sequence(dec_points, z, weights, config, training=False, rng=None):
     """Run the decoder stack over a (possibly partial) input sequence.
 
     dec_points: N x t x 2 (seed token first); returns N x t x 2 outputs.
+    Every position's keys and values are projected afresh, under a causal
+    mask; this is the oracle the cached decode_step is checked against.
     """
-    t = dec_points.shape[1]
-    x = _embed(dec_points, weights, start_t=config.t_obs)
-    mask = blocks.causal_mask(t)
+    x = embedding.compose_input(dec_points, weights.embed, weights.table,
+                                start_t=config.t_obs)
+    mask = blocks.causal_mask(dec_points.shape[1])
     for layer in weights.decoder:
-        attn = blocks.multi_head_attention(x, x, layer["self_attn"], mask=mask)
-        x = _sublayer(x, attn, layer["self_norm"], config, training, rng)
-        cross = blocks.multi_head_attention(x, z, layer["cross"])
-        x = _sublayer(x, cross, layer["cross_norm"], config, training, rng)
-        x = _sublayer(x, blocks.feed_forward(x, layer["ffn"]),
-                      layer["ffn_norm"], config, training, rng)
+        x = _decoder_layer(x, layer, _keys_values(x, layer["self_attn"]),
+                           _keys_values(z, layer["cross"]), config, mask, training, rng)
     return _output_head(x, dec_points, weights, config)
 
 
@@ -305,9 +323,7 @@ class DecoderCache:
         h = config.heads
         shape = (z.shape[0], h, config.t_pred, config.model_dim // h)
         with ad.no_grad():
-            self.cross = [(blocks.project_heads(z, layer["cross"].w_k, h),
-                           blocks.project_heads(z, layer["cross"].w_v, h))
-                          for layer in weights.decoder]
+            self.cross = [_keys_values(z, layer["cross"]) for layer in weights.decoder]
         self.keys, self.values = ([np.empty(shape, config.np_dtype) for _ in weights.decoder]
                                   for _ in range(2))
         self.points = np.empty((shape[0], 0, 2))
@@ -335,23 +351,15 @@ def decode_step(partial_outputs, weights, config, cache):
             f"decode input of {t} positions does not extend the {start} cached ones "
             f"by one")
     new = points[:, start:]
-    x = _embed(new, weights, start_t=config.t_obs + start)
-    for layer, keys, values, (cross_k, cross_v) in zip(
+    x = embedding.compose_input(new, weights.embed, weights.table,
+                                start_t=config.t_obs + start)
+    for layer, keys, values, cross_kv in zip(
             weights.decoder, cache.keys, cache.values, cache.cross):
-        self_w, cross_w = layer["self_attn"], layer["cross"]
-        h = self_w.heads
-        keys[:, :, start:t] = blocks.project_heads(x, self_w.w_k, h).data
-        values[:, :, start:t] = blocks.project_heads(x, self_w.w_v, h).data
+        new_keys, new_values = _keys_values(x, layer["self_attn"])
+        keys[:, :, start:t], values[:, :, start:t] = new_keys.data, new_values.data
         # the new position attends to every cached one, so it needs no mask
-        attn = blocks.attend_heads(blocks.project_heads(x, self_w.w_q, h),
-                                   Tensor(keys[:, :, :t]), Tensor(values[:, :, :t]),
-                                   self_w)
-        x = _sublayer(x, attn, layer["self_norm"], config, False, None)
-        cross = blocks.attend_heads(blocks.project_heads(x, cross_w.w_q, h),
-                                    cross_k, cross_v, cross_w)
-        x = _sublayer(x, cross, layer["cross_norm"], config, False, None)
-        x = _sublayer(x, blocks.feed_forward(x, layer["ffn"]),
-                      layer["ffn_norm"], config, False, None)
+        x = _decoder_layer(x, layer, (Tensor(keys[:, :, :t]), Tensor(values[:, :, :t])),
+                           cross_kv, config, None, False, None)
     cache.points = points.copy()
     return _output_head(x, new, weights, config).data
 

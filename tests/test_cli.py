@@ -374,6 +374,14 @@ class TestExitCodes:
         assert "test split" in capsys.readouterr().err
         assert not (tmp_path / "a" / "ablation.csv").exists()
 
+    def test_negative_split_fraction_is_data_error(self, tmp_path, small_cfg, capsys):
+        cfg = tmp_path / "leak.cfg"
+        cfg.write_text(SMALL_CFG + "synth_count = 8\ntrain_fraction = 1.0\n"
+                       "val_fraction = -0.25\ntest_fraction = 0.25\n")
+        assert run(["synth", "--config", cfg, "--out", tmp_path / "s"]) == 2
+        assert "split fractions must lie in [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "segments.sctn").exists()
+
     @staticmethod
     def plant_nan(cache, split_name, frame):
         """Write NaN into the first segment of split_name at one frame."""

@@ -105,6 +105,13 @@ class TestSegment:
         recs = [r for r in self.track(40) if r.frame_id != 20]
         assert segment_windows(index_log(recs), stride=5) == []
 
+    def test_early_gap_drops_only_the_window_across_it(self):
+        # a 10 Hz track without frame 2 resamples to 0, 4, 6, ...: its frame
+        # step is still 2, so every window after the gap is kept
+        recs = resample([r for r in self.track(200) if r.frame_id != 2], factor=2)
+        wins = segment_windows(index_log(recs), stride=5)
+        assert [w["start_frame"] for w in wins] == list(range(12, 113, 10))
+
 
 class TestSelectNeighbors:
     def build(self, offsets, n_channels):
@@ -244,6 +251,13 @@ class TestSplit:
             assert [id(s) for s in getattr(a, name)] == [id(s) for s in getattr(b, name)]
         ids = [id(s) for part in (a.train, a.validation, a.test) for s in part]
         assert len(ids) == len(set(ids)) == 20
+
+    @pytest.mark.parametrize("fractions", [(1.0, -0.25, 0.25), (1.25, 0.0, -0.25),
+                                           (0.0, 1.5, -0.5)])
+    def test_fraction_outside_unit_interval_rejected(self, fractions):
+        # they sum to 1, but a negative one would let test segments into train
+        with pytest.raises(DataError, match=r"\[0, 1\]"):
+            split_dataset(synthesize_scenes(8, seed=0), fractions=fractions)
 
 
 class TestSynthesize:

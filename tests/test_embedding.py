@@ -5,7 +5,7 @@ from sctn import autodiff as ad
 from sctn import embedding
 from sctn.autodiff import Tensor
 from sctn.embedding import EmbeddingWeights
-from sctn.errors import ConfigError, DataError
+from sctn.errors import ConfigError, NumericError
 
 
 def t(x, grad=False):
@@ -61,24 +61,31 @@ class TestPositionalTable:
 
 
 class TestEmbedTrajectory:
+    """The affine map of compose_input alone: a zero table adds nothing."""
+
+    def embed(self, points, w):
+        points = np.asarray(points)
+        table = np.zeros((points.shape[1], w.mlp_b.shape[0]))
+        return embedding.compose_input(points, w, table)
+
     def test_zero_weights(self):
         w = EmbeddingWeights(mlp_w=t(np.zeros((2, 4))), mlp_b=t(np.zeros(4)))
-        out = embedding.embed_trajectory(t([[1.0, 2.0]]), w)
-        np.testing.assert_array_equal(out.data, np.zeros((1, 4)))
+        out = self.embed([[[1.0, 2.0]]], w)
+        np.testing.assert_array_equal(out.data, np.zeros((1, 1, 4)))
 
     def test_origin_gives_bias(self):
         b = np.array([1.0, 2.0, 3.0])
         w = EmbeddingWeights(mlp_w=t(np.random.default_rng(0).normal(size=(2, 3))),
                              mlp_b=t(b))
-        out = embedding.embed_trajectory(t([[0.0, 0.0]]), w)
-        np.testing.assert_allclose(out.data[0], b)
+        out = self.embed([[[0.0, 0.0]]], w)
+        np.testing.assert_allclose(out.data[0, 0], b)
 
     def test_matches_dot_product_oracle(self):
         rng = np.random.default_rng(1)
         w = EmbeddingWeights(mlp_w=t(rng.normal(size=(2, 5))),
                              mlp_b=t(rng.normal(size=5)))
         pt = rng.normal(size=2)
-        out = embedding.embed_trajectory(t(pt.reshape(1, 2)), w).data[0]
+        out = self.embed(pt.reshape(1, 1, 2), w).data[0, 0]
         expected = np.array([
             pt[0] * w.mlp_w.data[0, j] + pt[1] * w.mlp_w.data[1, j] + w.mlp_b.data[j]
             for j in range(5)])
@@ -86,17 +93,17 @@ class TestEmbedTrajectory:
 
     def test_non_finite_rejected(self):
         w = EmbeddingWeights(mlp_w=t(np.zeros((2, 3))), mlp_b=t(np.zeros(3)))
-        with pytest.raises(DataError):
-            embedding.embed_trajectory(t([[np.nan, 0.0]]), w)
+        with pytest.raises(NumericError, match="matmul output"):
+            self.embed([[[np.nan, 0.0]]], w)
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(2)
         mlp_w = t(rng.normal(size=(2, 4)), grad=True)
         mlp_b = t(rng.normal(size=4))
-        pts = t(rng.normal(size=(3, 2)))
+        pts = rng.normal(size=(1, 3, 2))
 
         def f(p):
-            out = embedding.embed_trajectory(pts, EmbeddingWeights(p, mlp_b))
+            out = self.embed(pts, EmbeddingWeights(p, mlp_b))
             return ad.mean(ad.mul(out, out))
 
         assert ad.finite_difference_check(f, mlp_w) < 1e-4

@@ -10,8 +10,16 @@ exact distance tie competing for the last channel, and more vehicles at the
 anchor frame than there are channels. A change that is meant to alter
 `prepare` output (for example a shared 5 Hz grid) updates GOLDEN_SHA256 and
 GOLDEN_MANIFEST and says why.
+
+`PYTHONPATH=src python tests/test_golden.py` reruns every golden run and
+prints each pinned value in this file's layout, ready to replace the old one.
 """
+import contextlib
 import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -19,8 +27,11 @@ from sctn import checkpoint
 from sctn.cli import main
 
 GOLDEN_SHA256 = "424c3825401ea653827a8a76f61d6be230cfbfa52d4d16729eb311d5f5e1a535"
-GOLDEN_MANIFEST = ("segments total: 69\nsegments train: 48\nsegments validation: 7\n"
-                   "segments test: 14\nsource 0: <log>\n")
+GOLDEN_MANIFEST = ("segments total: 69\n"
+                   "segments train: 48\n"
+                   "segments validation: 7\n"
+                   "segments test: 14\n"
+                   "source 0: <log>\n")
 
 # vehicle id, first 10 Hz frame, frames, lateral x and initial y in
 # milli-feet, speed in milli-feet per frame, sway on (1) or off (0)
@@ -56,15 +67,19 @@ def write_log(path):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_prepare_output_is_pinned(tmp_path):
+def prepare_run(tmp_path):
+    """The SHA-256 of the golden log's segment cache, and its manifest."""
     log = tmp_path / "log.csv"
     write_log(log)
     out = tmp_path / "prep"
     assert main(["prepare", "--data", str(log), "--out", str(out), "--units", "feet",
                  "--neighbors", "5", "--seed", "0"]) == 0
     digest = hashlib.sha256((out / "segments.sctn").read_bytes()).hexdigest()
-    manifest = (out / "segments.sctn.manifest").read_text().replace(str(log), "<log>")
-    assert (digest, manifest) == (GOLDEN_SHA256, GOLDEN_MANIFEST)
+    return digest, (out / "segments.sctn.manifest").read_text().replace(str(log), "<log>")
+
+
+def test_prepare_output_is_pinned(tmp_path):
+    assert prepare_run(tmp_path) == (GOLDEN_SHA256, GOLDEN_MANIFEST)
 
 
 def test_ablate_cell_matches_train_then_evaluate(tmp_path):
@@ -197,52 +212,181 @@ TRAINED_GOLDEN = dict(
 )
 
 
+# The same cache trained for 2 epochs with dropout 0.1, the one golden run
+# whose training draws dropout masks: it pins their order (in each layer,
+# self-attention, then cross-attention, then feed-forward). Its figures were
+# also recorded before the change that added it altered anything under src/.
+DROPOUT_CFG = "model_dim = 16\nheads = 2\nlayers = 2\nepochs = 2\ndropout = 0.1\n"
+DROPOUT_GOLDEN = dict(
+    losses=[[30.1401828, 25.1966496], [24.2602336, 23.0039835]],
+    norms={"embed/w": 2.48421864,
+           "embed/b": 0.0636046584,
+           "se_enc/w1": 0.495595841,
+           "se_enc/w2": 0.854556092,
+           "enc0/attn/wq": 2.28118359,
+           "enc0/attn/wk": 2.33431696,
+           "enc0/attn/wv": 2.34387982,
+           "enc0/attn/wo": 2.23874305,
+           "enc0/attn_norm/gain": 3.9946291,
+           "enc0/attn_norm/bias": 0.0650449027,
+           "enc0/ffn/w1": 4.76241874,
+           "enc0/ffn/b1": 0.118770299,
+           "enc0/ffn/w2": 2.32367207,
+           "enc0/ffn/b2": 0.0587378883,
+           "enc0/ffn_norm/gain": 3.98879736,
+           "enc0/ffn_norm/bias": 0.0587716845,
+           "enc1/attn/wq": 2.227159,
+           "enc1/attn/wk": 2.28150997,
+           "enc1/attn/wv": 2.38065036,
+           "enc1/attn/wo": 2.2915781,
+           "enc1/attn_norm/gain": 3.98495388,
+           "enc1/attn_norm/bias": 0.0617714068,
+           "enc1/ffn/w1": 4.79367992,
+           "enc1/ffn/b1": 0.121088528,
+           "enc1/ffn/w2": 2.3463839,
+           "enc1/ffn/b2": 0.0575445086,
+           "enc1/ffn_norm/gain": 3.97361343,
+           "enc1/ffn_norm/bias": 0.0526837651,
+           "dec0/self/wq": 2.30908145,
+           "dec0/self/wk": 2.37588185,
+           "dec0/self/wv": 2.30122773,
+           "dec0/self/wo": 2.32349283,
+           "dec0/self_norm/gain": 4.01211706,
+           "dec0/self_norm/bias": 0.0684388863,
+           "dec0/cross/wq": 2.31141199,
+           "dec0/cross/wk": 2.39359187,
+           "dec0/cross/wv": 2.29353552,
+           "dec0/cross/wo": 2.22901377,
+           "dec0/cross_norm/gain": 4.01156052,
+           "dec0/cross_norm/bias": 0.0679057573,
+           "dec0/ffn/w1": 4.64838616,
+           "dec0/ffn/b1": 0.140491623,
+           "dec0/ffn/w2": 2.35456197,
+           "dec0/ffn/b2": 0.0653771194,
+           "dec0/ffn_norm/gain": 4.00366787,
+           "dec0/ffn_norm/bias": 0.0649134843,
+           "dec1/self/wq": 2.2601452,
+           "dec1/self/wk": 2.35581882,
+           "dec1/self/wv": 2.20172389,
+           "dec1/self/wo": 2.26654848,
+           "dec1/self_norm/gain": 3.99965278,
+           "dec1/self_norm/bias": 0.0648620666,
+           "dec1/cross/wq": 2.36351871,
+           "dec1/cross/wk": 2.35877744,
+           "dec1/cross/wv": 2.2992151,
+           "dec1/cross/wo": 2.35859856,
+           "dec1/cross_norm/gain": 4.0075333,
+           "dec1/cross_norm/bias": 0.0643677743,
+           "dec1/ffn/w1": 4.69044179,
+           "dec1/ffn/b1": 0.137017533,
+           "dec1/ffn/w2": 2.33900978,
+           "dec1/ffn/b2": 0.0644892985,
+           "dec1/ffn_norm/gain": 4.03264179,
+           "dec1/ffn_norm/bias": 0.0774613464,
+           "out/w": 0.878595477,
+           "out/b": 0.0276940655},
+)
+
+
 def _figure(value):
     return float(f"{float(value):.9g}")
 
 
-def trained_run(tmp_path):
-    """The pinned figures of the trained run: (train, val) loss per epoch,
-    metrics.csv rows, the obs/gt rows of trajectories.csv by SHA-256, the
-    predicted point of each agent at each whole second, and the L2 norm of
-    every checkpoint tensor."""
+def trained_run(tmp_path, cfg_text=TRAINED_CFG, scored=True):
+    """The pinned figures of a trained run: (train, val) loss per epoch and,
+    if scored, metrics.csv rows, the obs/gt rows of trajectories.csv by
+    SHA-256 and the predicted point of each agent at each whole second; then
+    the L2 norm of every checkpoint tensor."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(TRAINED_CFG)
+    cfg.write_text(cfg_text)
     cache = tmp_path / "synth" / "segments.sctn"
     ckpt = tmp_path / "train" / "model.sctn"
-    for argv in (["synth", "--seed", "3", "--count", "16", "--kind", "interaction",
-                  "--out", cache.parent],
-                 ["train", "--data", cache, "--out", ckpt.parent],
-                 ["evaluate", "--data", cache, "--checkpoint", ckpt,
-                  "--out", tmp_path / "eval"],
-                 ["predict", "--data", cache, "--checkpoint", ckpt, "--segment", "2",
-                  "--out", tmp_path / "pred"]):
+    commands = [["synth", "--seed", "3", "--count", "16", "--kind", "interaction",
+                 "--out", cache.parent],
+                ["train", "--data", cache, "--out", ckpt.parent]]
+    if scored:
+        commands += [["evaluate", "--data", cache, "--checkpoint", ckpt,
+                      "--out", tmp_path / "eval"],
+                     ["predict", "--data", cache, "--checkpoint", ckpt, "--segment", "2",
+                      "--out", tmp_path / "pred"]]
+    for argv in commands:
         assert main([str(a) for a in [*argv, "--config", cfg]]) == 0
     log = (ckpt.parent / "run_log.csv").read_text().splitlines()[1:]
-    metrics = (tmp_path / "eval" / "metrics.csv").read_text().splitlines()[1:-1]
-    traj = (tmp_path / "pred" / "trajectories.csv").read_text().splitlines()[1:]
-    rows = [line.split(",") for line in traj]
-    known = "\n".join(line for line, row in zip(traj, rows) if row[2] != "pred")
+    figures = dict(losses=[[_figure(v) for v in line.split(",")[1:3]] for line in log])
+    if scored:
+        metrics = (tmp_path / "eval" / "metrics.csv").read_text().splitlines()[1:-1]
+        traj = (tmp_path / "pred" / "trajectories.csv").read_text().splitlines()[1:]
+        rows = [line.split(",") for line in traj]
+        known = "\n".join(line for line, row in zip(traj, rows) if row[2] != "pred")
+        figures.update(
+            metrics=[[_figure(v) for v in line.split(",")] for line in metrics],
+            known_sha256=hashlib.sha256(known.encode()).hexdigest(),
+            predicted={f"{row[1]}@{row[3]}": [_figure(row[4]), _figure(row[5])]
+                       for row in rows if row[2] == "pred" and (int(row[3]) - 14) % 5 == 0})
     weights = checkpoint.load_model_checkpoint(ckpt)
-    return dict(
-        losses=[[_figure(v) for v in line.split(",")[1:3]] for line in log],
-        metrics=[[_figure(v) for v in line.split(",")] for line in metrics],
-        known_sha256=hashlib.sha256(known.encode()).hexdigest(),
-        predicted={f"{row[1]}@{row[3]}": [_figure(row[4]), _figure(row[5])]
-                   for row in rows if row[2] == "pred" and (int(row[3]) - 14) % 5 == 0},
-        norms={name: _figure(np.linalg.norm(t.data.astype(np.float64)))
-               for name, t in weights.registry.items()},
-    )
+    figures["norms"] = {name: _figure(np.linalg.norm(t.data.astype(np.float64)))
+                        for name, t in weights.registry.items()}
+    return figures
 
 
-def test_train_evaluate_predict_outputs_are_pinned(tmp_path):
-    observed = trained_run(tmp_path)
-    expected = TRAINED_GOLDEN
-    assert observed["known_sha256"] == expected["known_sha256"]
-    for key in ("losses", "metrics", "predicted", "norms"):
-        got, want = observed[key], expected[key]
+def _assert_pinned(observed, expected):
+    assert list(observed) == list(expected)
+    for key, want in expected.items():
+        got = observed[key]
+        if isinstance(want, str):
+            assert got == want, key
+            continue
         if isinstance(want, dict):
             assert list(got) == list(want), key
             got, want = list(got.values()), list(want.values())
         np.testing.assert_allclose(got, want, rtol=TRAINED_REL, atol=TRAINED_ABS,
                                    err_msg=key)
+
+
+def test_train_evaluate_predict_outputs_are_pinned(tmp_path):
+    _assert_pinned(trained_run(tmp_path), TRAINED_GOLDEN)
+
+
+def test_dropout_training_is_pinned(tmp_path):
+    _assert_pinned(trained_run(tmp_path, DROPOUT_CFG, scored=False), DROPOUT_GOLDEN)
+
+
+def _source(name, value):
+    """`name = value` as this file writes it: a string manifest one line per
+    source line, a dict of figures one entry per line, and a list of rows on
+    one line when it fits, else one row per line."""
+    if isinstance(value, str):
+        lines = [json.dumps(line) for line in value.splitlines(keepends=True)]
+        if len(lines) == 1:
+            return f"{name} = {lines[0]}"
+        return f"{name} = (" + f"\n{' ' * (len(name) + 4)}".join(lines) + ")"
+
+    def block(head, opener, items, closer):
+        one_line = f"{head}{opener}{', '.join(items)}{closer}"
+        if len(one_line) <= 92:
+            return one_line
+        return f"{head}{opener}" + f",\n{' ' * (len(head) + 1)}".join(items) + closer
+
+    entries = []
+    for key, pins in value.items():
+        if isinstance(pins, str):
+            entries.append(f"    {key}={json.dumps(pins)},")
+        elif isinstance(pins, dict):
+            items = [f"{json.dumps(k)}: {v!r}" for k, v in pins.items()]
+            entries.append(block(f"    {key}=", "{", items, "},"))
+        else:
+            entries.append(block(f"    {key}=", "[", [repr(row) for row in pins], "],"))
+    return "\n".join([f"{name} = dict(", *entries, ")"])
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        tmp = Path(tmp)
+        digest, manifest = prepare_run(tmp)
+        for run in ("trained", "dropout"):
+            (tmp / run).mkdir()
+        pins = dict(GOLDEN_SHA256=digest, GOLDEN_MANIFEST=manifest,
+                    TRAINED_GOLDEN=trained_run(tmp / "trained"),
+                    DROPOUT_GOLDEN=trained_run(tmp / "dropout", DROPOUT_CFG, scored=False))
+    for name, value in pins.items():
+        print(_source(name, value))
