@@ -1,7 +1,7 @@
 """Spatial-channel trajectory prediction toolkit."""
 
-from .autodiff import (CounterRng, Tensor, backward, dropout,
-                       finite_difference_check, layer_norm, softmax)
+from .autodiff import (CounterRng, Tensor, attention, backward, dropout,
+                       finite_difference_check, layer_norm)
 from .blocks import (FeedForwardWeights, MultiHeadWeights, feed_forward,
                      multi_head_attention, residual_sublayer, scaled_dot_attention)
 from .model import (ModelConfig, ModelWeights, Scene, decode_step, encode,
@@ -14,10 +14,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CounterRng", "FeedForwardWeights", "MetricsReport",
     "ModelConfig", "ModelWeights", "MultiHeadWeights", "OptimizerState",
-    "Scene", "Tensor", "ade", "adam_init", "adam_step", "backward",
-    "decode_step", "dropout", "encode", "evaluate", "fde",
+    "Scene", "Tensor", "ade", "adam_init", "adam_step", "attention",
+    "backward", "decode_step", "dropout", "encode", "evaluate", "fde",
     "feed_forward", "finite_difference_check", "l2_loss", "layer_norm",
     "multi_head_attention", "predict", "residual_sublayer",
-    "rmse", "scaled_dot_attention", "softmax", "teacher_forced_forward",
+    "rmse", "scaled_dot_attention", "teacher_forced_forward",
     "train",
 ]

@@ -11,10 +11,12 @@ Inside ``with no_grad():`` operations record nothing, for inference.
 
 Finiteness is checked once per op: matmul, add, mul, scalar_mul, mean and
 layer_norm raise NumericError on a non-finite output (naming it, e.g.
-``matmul output``), which a NaN or inf in any input always produces. relu,
-sigmoid and softmax map +-inf to finite values, so they check their input;
-the shape ops, scale_channels and dropout are unchecked and leave a bad value
-to the next op.
+``matmul output``), which a NaN or inf in any input always produces; an
+overflowing residual sum inside layer_norm does too. relu and sigmoid map
++-inf to finite values, so they check their input. attention checks twice:
+its masked, scaled scores, because softmax gives a -inf score weight 0, and
+its output, which a bad value reaches only through v. The shape ops,
+scale_channels and dropout are unchecked and leave a bad value to the next op.
 """
 from __future__ import annotations
 
@@ -282,42 +284,78 @@ def scale_channels(a, s):
     return _link(out, backward_fn)
 
 
-def softmax(a):
-    """Numerically stable softmax along the last axis (max subtraction)."""
-    _require_finite("softmax input", a.data)
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-    out = _make(s, (a,))
+def attention(q, k, v, fill=None):
+    """softmax(q kT c + fill) v as one op, c = 1 / sqrt(d_k), softmax over
+    the keys.
+
+    q: ... x T_q x d_k, k: ... x T_k x d_k, v: ... x T_k x d_v, with equal
+    leading axes. fill is an additive array broadcast onto the ... x T_q x T_k
+    scores (e.g. -1e9 at blocked slots), not differentiated. The backward is
+    hand-written: with weights p, dv = pT g, ds = p (g vT - rowsum(g vT p)) c,
+    dq = ds k and dk = dsT q.
+    """
+    if q.ndim < 2 or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
+        raise ShapeError(f"attention leading axes differ: {q.shape}, {k.shape}, {v.shape}")
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
+        raise ShapeError(f"attention operands do not align: {q.shape}, {k.shape}, {v.shape}")
+    # a Python float keeps float32 scores float32
+    c = float(1.0 / np.sqrt(q.shape[-1]))
+    p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    p *= c
+    if fill is not None:
+        p += fill
+    _require_finite("attention scores", p)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    out_data = np.matmul(p, v.data)
+    _require_finite("attention output", out_data)
+    out = _make(out_data, (q, k, v))
 
     def backward_fn(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        _acc(a, s * (g - dot))
+        if v.requires_grad:
+            _acc(v, np.matmul(np.swapaxes(p, -1, -2), g))
+        gp = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        ds = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        ds *= c
+        if q.requires_grad:
+            _acc(q, np.matmul(ds, k.data))
+        if k.requires_grad:
+            # (qT ds)T, not dsT q: the product the unfused chain formed, bit for bit
+            _acc(k, np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), ds), -1, -2))
 
     return _link(out, backward_fn)
 
 
-def layer_norm(x, gain, bias):
-    """Normalize last-axis slices to zero mean / unit variance, then affine.
+def layer_norm(x, branch, gain, bias):
+    """Residual layer norm: normalize last-axis slices of x + branch to zero
+    mean / unit variance, then affine.
 
     Zero-variance slices come out as the bias (variance floor LAYER_NORM_EPS).
     """
+    if x.shape != branch.shape:
+        raise ShapeError(f"residual shapes differ: {x.shape} vs {branch.shape}")
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError(f"layer_norm affine params must have shape ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # np.add.reduce is the reduction ndarray.mean and .var run, without their
+    # Python-level wrappers; the results are the same bits
+    centred = x.data + branch.data
+    centred -= np.add.reduce(centred, axis=-1, keepdims=True) / d
+    var = np.add.reduce(np.square(centred), axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = (x.data - mu) * inv
+    xhat = centred * inv
     out_data = xhat * gain.data + bias.data
     _require_finite("layer_norm output", out_data)
-    out = _make(out_data, (x, gain, bias))
+    out = _make(out_data, (x, branch, gain, bias))
 
     def backward_fn(g):
         gx_hat = g * gain.data
-        m1 = gx_hat.mean(axis=-1, keepdims=True)
-        m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
-        _acc(x, (gx_hat - m1 - xhat * m2) * inv)
+        m1 = np.add.reduce(gx_hat, axis=-1, keepdims=True) / d
+        m2 = np.add.reduce(gx_hat * xhat, axis=-1, keepdims=True) / d
+        gx = (gx_hat - m1 - xhat * m2) * inv
+        _acc(x, gx)
+        _acc(branch, gx)
         _acc(gain, (g * xhat).reshape(-1, d).sum(axis=0))
         _acc(bias, g.reshape(-1, d).sum(axis=0))
 

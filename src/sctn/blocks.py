@@ -56,14 +56,10 @@ def scaled_dot_attention(q, k, v, mask=None):
 
     q: ... x T_q x d_k, k: ... x T_k x d_k, v: ... x T_k x d_v.
     mask: boolean T_q x T_k (True = attend), broadcast over leading axes.
-    Mismatched shapes raise ShapeError from the matmuls.
+    Mismatched shapes raise ShapeError from the attention op.
     """
-    scores = ad.scalar_mul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(q.shape[-1]))
-    if mask is not None:
-        fill = np.broadcast_to(_mask_fill(mask, scores.dtype), scores.shape)
-        scores = ad.add(scores, Tensor(fill))
-    weights = ad.softmax(scores)
-    return ad.matmul(weights, v)
+    fill = None if mask is None else _mask_fill(mask, q.dtype)
+    return ad.attention(q, k, v, fill=fill)
 
 
 def multi_head_attention(x_q, x_kv, weights, mask=None):
@@ -104,8 +100,7 @@ def feed_forward(x, weights):
 
 def residual_sublayer(x, sublayer_output, gain, bias, dropout_rate=0.0,
                       training=False, rng=None):
-    """Post-norm residual wrapper: layer_norm(x + dropout(sublayer_output))."""
-    if x.shape != sublayer_output.shape:
-        raise ShapeError(f"residual shapes differ: {x.shape} vs {sublayer_output.shape}")
+    """Post-norm residual wrapper: layer_norm(x + dropout(sublayer_output)),
+    the sum formed inside the layer norm."""
     branch = ad.dropout(sublayer_output, dropout_rate, training, rng)
-    return ad.layer_norm(ad.add(x, branch), gain, bias)
+    return ad.layer_norm(x, branch, gain, bias)

@@ -200,12 +200,21 @@ def build_segments(records, n_channels, stride=5, source_file=""):
 
 
 def split_dataset(samples, seed=0, fractions=(0.7, 0.1, 0.2)):
-    """Deterministic per-segment split into train/validation/test."""
+    """Deterministic per-segment split into train/validation/test.
+
+    Sizes are allocated by largest remainder: each split gets the floor of
+    its share, and the segments left over go to the largest fractional
+    parts, ties (compared to 1e-9) in train, validation, test order."""
     if abs(sum(fractions) - 1.0) > 1e-9 or not all(0 <= f <= 1 for f in fractions):
         raise DataError(f"split fractions must lie in [0, 1] and sum to 1, got {fractions}")
     order = np.random.default_rng(seed).permutation(len(samples))
-    n_train = int(round(fractions[0] * len(samples)))
-    n_val = int(round(fractions[1] * len(samples)))
+    shares = [f * len(samples) for f in fractions]
+    sizes = [int(share) for share in shares]
+    # remainders rounded so that float error (0.7 * 8 = 5.5999...) cannot break a tie
+    by_remainder = sorted(range(3), key=lambda i: -round(shares[i] - sizes[i], 9))
+    for i in by_remainder[:len(samples) - sum(sizes)]:
+        sizes[i] += 1
+    n_train, n_val = sizes[0], sizes[1]
     shuffled = [samples[i] for i in order]
     return DatasetSplit(train=shuffled[:n_train],
                         validation=shuffled[n_train:n_train + n_val],

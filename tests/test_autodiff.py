@@ -134,26 +134,36 @@ class TestSharedWeightMatmul:
         np.testing.assert_array_equal(b.grad, gb)
 
 
+def softmax_via_attention(scores):
+    """softmax(scores) computed by attention: one query of feature 1 against
+    one key per score (d_k = 1, so the scale is 1), with v = I the output is
+    the weights."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return ad.attention(t([[1.0]]), t(scores.reshape(-1, 1)), t(np.eye(scores.size)))
+
+
 class TestSoftmax:
+    """The softmax inside attention."""
+
     def test_symmetry(self):
-        np.testing.assert_allclose(ad.softmax(t([0.0, 0.0])).data, [0.5, 0.5])
+        np.testing.assert_allclose(softmax_via_attention([0.0, 0.0]).data, [[0.5, 0.5]])
 
     def test_shift_invariance(self):
         for c in (-3.0, 0.0, 7.5):
-            np.testing.assert_allclose(ad.softmax(t([c, c, c])).data,
-                                       [1 / 3] * 3, atol=1e-12)
+            np.testing.assert_allclose(softmax_via_attention([c, c, c]).data,
+                                       [[1 / 3] * 3], atol=1e-12)
 
     def test_exact_log_ratio(self):
-        out = ad.softmax(t([np.log(2.0), 0.0]))
-        np.testing.assert_allclose(out.data, [2 / 3, 1 / 3], atol=1e-12)
+        out = softmax_via_attention([np.log(2.0), 0.0])
+        np.testing.assert_allclose(out.data, [[2 / 3, 1 / 3]], atol=1e-12)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(NumericError):
-            ad.softmax(t([np.nan, 0.0]))
+        with pytest.raises(NumericError, match="attention scores"):
+            softmax_via_attention([np.nan, 0.0])
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     def test_rows_sum_to_one_and_positive(self, xs):
-        out = ad.softmax(t(xs)).data
+        out = softmax_via_attention(xs).data
         assert abs(out.sum() - 1.0) < 1e-6
         assert (out > 0).all()
 
@@ -215,6 +225,8 @@ class TestNoGrad:
         assert ad.dropout(x, 0.0, True, CounterRng(0)) is x
 
 
+CAUSAL_FILL = np.where(np.tril(np.ones((4, 4), dtype=bool)), 0.0, -1e9)
+
 # each finiteness-checking op, with the shapes of its finite operands
 CHECKING_OPS = {
     "matmul": (ad.matmul, [(2, 3), (3, 4)]),
@@ -225,13 +237,16 @@ CHECKING_OPS = {
     "scalar_mul by zero": (lambda a: ad.scalar_mul(a, 0.0), [(2, 3)]),
     "mean": (ad.mean, [(2, 3)]),
     "mean axis": (lambda a: ad.mean(a, axis=0), [(2, 3)]),
-    "layer_norm": (ad.layer_norm, [(2, 3), (3,), (3,)]),
+    "layer_norm": (ad.layer_norm, [(2, 3), (2, 3), (3,), (3,)]),
     "relu": (ad.relu, [(2, 3)]),
     "sigmoid": (ad.sigmoid, [(2, 3)]),
-    "softmax": (ad.softmax, [(2, 3)]),
+    "attention": (ad.attention, [(2, 3), (4, 3), (4, 2)]),
+    "attention causal": (lambda q, k, v: ad.attention(q, k, v, fill=CAUSAL_FILL),
+                         [(4, 3), (4, 3), (4, 2)]),
+    "softmax": (lambda s: softmax_via_attention(s.data), [(2, 3)]),
 }
 CHECKING_PRIMITIVES = ("matmul", "add", "mul", "scalar_mul", "mean", "layer_norm",
-                       "relu", "sigmoid", "softmax")
+                       "relu", "sigmoid", "attention")
 ALL_PRIMITIVES = CHECKING_PRIMITIVES + ("transpose", "reshape", "scale_channels",
                                         "dropout")
 
@@ -261,6 +276,20 @@ class TestFinitenessPolicy:
         for fn, shapes in CHECKING_OPS.values():
             out = fn(*[t(rng.normal(size=shape)) for shape in shapes])
             assert np.isfinite(out.data).all()
+
+    def test_minus_inf_score_rejected_though_its_weight_is_zero(self):
+        # an infinite key gives a -inf score, weight 0 and a finite output
+        q, v = t(np.ones((2, 3))), t(np.ones((4, 2)))
+        k = np.ones((4, 3))
+        k[2] = -np.inf
+        with pytest.raises(NumericError, match="attention scores"):
+            ad.attention(q, t(k), v)
+
+    def test_float32_residual_overflow_names_layer_norm(self):
+        big = Tensor(np.full((2, 3), 3e38, dtype=np.float32))
+        gain, bias = (Tensor(np.full(3, c, dtype=np.float32)) for c in (1.0, 0.0))
+        with pytest.raises(NumericError, match="layer_norm output"):
+            ad.layer_norm(big, big, gain, bias)
 
     def test_float32_matmul_overflow_names_op(self):
         big = Tensor(np.full((2, 2), 1e20, dtype=np.float32))
@@ -295,25 +324,116 @@ class TestFinitenessPolicy:
         model.predict(scene, weights, cfg)
         op_calls = sum(calls[name] for name in ALL_PRIMITIVES)
         checking_calls = sum(calls[name] for name in CHECKING_PRIMITIVES)
-        assert calls["matmul"] > 0 and calls["softmax"] > 0
-        assert calls["_require_finite"] == checking_calls <= op_calls
+        assert calls["matmul"] > 0 and calls["attention"] > 0
+        # attention checks its scores and its output
+        assert checking_calls <= op_calls
+        assert calls["_require_finite"] == checking_calls + calls["attention"]
+
+
+def layer_norm_reference(x, branch, gain, bias):
+    """Residual layer norm in plain numpy, with ndarray.mean and .var."""
+    s = x + branch
+    mu = s.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(s.var(axis=-1, keepdims=True) + ad.LAYER_NORM_EPS)
+    return (s - mu) * inv * gain + bias
 
 
 class TestLayerNorm:
     def test_constant_vector_returns_bias(self):
         gain, bias = t(np.ones(4)), t(np.zeros(4))
-        out = ad.layer_norm(t(np.full(4, 3.3)), gain, bias)
+        out = ad.layer_norm(t(np.full(4, 1.1)), t(np.full(4, 2.2)), gain, bias)
         np.testing.assert_allclose(out.data, np.zeros(4), atol=1e-12)
 
     def test_already_normalized(self):
-        out = ad.layer_norm(t([1.0, -1.0]), t(np.ones(2)), t(np.zeros(2)))
+        out = ad.layer_norm(t([1.0, -1.0]), t([0.0, 0.0]), t(np.ones(2)), t(np.zeros(2)))
         np.testing.assert_allclose(out.data, [1.0, -1.0], atol=1e-3)
 
     def test_zero_gain_returns_bias(self):
         b = np.array([2.0, -1.0, 0.5])
-        out = ad.layer_norm(t(np.random.default_rng(1).normal(size=(5, 3))),
+        rng = np.random.default_rng(1)
+        out = ad.layer_norm(t(rng.normal(size=(5, 3))), t(rng.normal(size=(5, 3))),
                             t(np.zeros(3)), t(b))
         np.testing.assert_allclose(out.data, np.broadcast_to(b, (5, 3)))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ShapeError, match="residual shapes differ"):
+            ad.layer_norm(t(np.zeros((2, 3))), t(np.zeros((3, 3))),
+                          t(np.ones(3)), t(np.zeros(3)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d", [64, 12])
+    def test_matches_mean_var_reference_bit_for_bit(self, dtype, d):
+        rng = np.random.default_rng(2)
+        x, branch = (rng.normal(size=(3, 5, d)).astype(dtype) for _ in range(2))
+        gain, bias = (rng.normal(size=d).astype(dtype) for _ in range(2))
+        out = ad.layer_norm(*(Tensor(a) for a in (x, branch, gain, bias)))
+        assert out.dtype == dtype
+        assert np.array_equal(out.data, layer_norm_reference(x, branch, gain, bias))
+
+    @pytest.mark.parametrize("operand", range(4), ids=["x", "branch", "gain", "bias"])
+    def test_finite_differences(self, operand):
+        rng = np.random.default_rng(3)
+        operands = [t(rng.normal(size=shape), grad=True)
+                    for shape in [(2, 3, 5), (2, 3, 5), (5,), (5,)]]
+        weights = t(rng.normal(size=(2, 3, 5)))
+
+        def f(p):
+            args = operands[:operand] + [p] + operands[operand + 1:]
+            return ad.mean(ad.mul(ad.layer_norm(*args), weights))
+
+        assert ad.finite_difference_check(f, operands[operand], step=1e-5) < 1e-7
+
+    def test_shared_operand_gets_both_gradients(self):
+        # x as both the residual and the branch gets the gradient of both uses
+        rng = np.random.default_rng(4)
+        x = t(rng.normal(size=(3, 4)), grad=True)
+        gain, bias = t(rng.normal(size=4)), t(rng.normal(size=4))
+        weights = t(rng.normal(size=(3, 4)))
+        assert ad.finite_difference_check(
+            lambda p: ad.mean(ad.mul(ad.layer_norm(p, p, gain, bias), weights)),
+            x, step=1e-5) < 1e-7
+
+
+class TestAttention:
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "causal"])
+    @pytest.mark.parametrize("operand", range(3), ids=["q", "k", "v"])
+    def test_finite_differences(self, operand, masked):
+        rng = np.random.default_rng(5)
+        operands = [t(rng.normal(size=(2, 4, d)), grad=True) for d in (3, 3, 2)]
+        weights = t(rng.normal(size=(2, 4, 2)))
+        fill = CAUSAL_FILL if masked else None
+
+        def f(p):
+            args = operands[:operand] + [p] + operands[operand + 1:]
+            return ad.mean(ad.mul(ad.attention(*args, fill=fill), weights))
+
+        assert ad.finite_difference_check(f, operands[operand], step=1e-5) < 1e-7
+
+    def test_masked_key_gets_no_gradient(self):
+        rng = np.random.default_rng(6)
+        q, k, v = (t(rng.normal(size=(4, 3)), grad=True) for _ in range(3))
+        # causal, and the last query blocked from the last key too: no query
+        # attends to that key
+        fill = CAUSAL_FILL.copy()
+        fill[3, 3] = -1e9
+        ad.backward(ad.mean(ad.attention(q, k, v, fill=fill)))
+        assert np.array_equal(k.grad[3], np.zeros(3))
+        assert np.array_equal(v.grad[3], np.zeros(3))
+        assert np.abs(k.grad[:3]).min() > 0
+
+    def test_float32_stays_float32(self):
+        gen = np.random.default_rng(7)
+        q, k, v = (Tensor(gen.normal(size=(2, 3, 4)).astype(np.float32)) for _ in range(3))
+        assert ad.attention(q, k, v).dtype == np.float32
+
+    @pytest.mark.parametrize("shapes", [
+        [(2, 3, 4), (3, 3, 4), (3, 3, 2)],
+        [(3, 4), (5, 3), (5, 2)],
+        [(3, 4), (5, 4), (4, 2)],
+    ], ids=["leading", "features", "keys"])
+    def test_misaligned_operands_rejected(self, shapes):
+        with pytest.raises(ShapeError, match="attention"):
+            ad.attention(*(t(np.zeros(shape)) for shape in shapes))
 
 
 class TestBackward:
@@ -375,11 +495,12 @@ class TestFiniteDifference:
         assert ad.finite_difference_check(f, x) == 0.0
 
     def test_softmax_composition(self):
-        x = t(np.random.default_rng(4).normal(size=5), grad=True)
-        target = np.random.default_rng(5).normal(size=5)
+        # scores enter attention's softmax as keys of one d_k = 1 query
+        x = t(np.random.default_rng(4).normal(size=(5, 1)), grad=True)
+        target = np.random.default_rng(5).normal(size=(1, 5))
 
         def f(p):
-            s = ad.softmax(p)
+            s = ad.attention(t([[1.0]]), p, t(np.eye(5)))
             d = s - Tensor(target)
             return ad.mean(ad.mul(d, d))
 
@@ -404,6 +525,6 @@ def test_forward_determinism():
         rng = CounterRng(11)
         x = t(np.arange(12.0).reshape(3, 4), grad=True)
         h = ad.dropout(ad.relu(ad.matmul(x, t(np.ones((4, 4))))), 0.3, True, rng)
-        return ad.softmax(h).data
+        return ad.attention(h, h, h).data
 
     np.testing.assert_array_equal(run(), run())

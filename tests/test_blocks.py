@@ -20,6 +20,18 @@ def random_mha(rng, d, heads):
     return MultiHeadWeights(*(t(rng.normal(size=(d, d))) for _ in range(4)), heads=heads)
 
 
+def attention_reference(q, k, v, mask=None):
+    """Scaled dot-product attention in plain numpy, one step at a time: the
+    scores, their scale, the mask fill, a max-shifted softmax, the weighted
+    sum."""
+    scores = np.matmul(q, np.swapaxes(k, -1, -2))
+    scores = scores * float(1.0 / np.sqrt(q.shape[-1]))
+    if mask is not None:
+        scores = scores + np.where(mask, 0.0, blocks.MASK_FILL).astype(scores.dtype)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return np.matmul(e / e.sum(axis=-1, keepdims=True), v)
+
+
 def per_head_reference(x_q, x_kv, w, mask=None):
     """Multi-head attention in plain numpy, one head (column block) at a time."""
     wq, wk, wv, wo = (p.data for p in (w.w_q, w.w_k, w.w_v, w.w_o))
@@ -27,12 +39,8 @@ def per_head_reference(x_q, x_kv, w, mask=None):
     heads = []
     for i in range(w.heads):
         cols = slice(i * d_k, (i + 1) * d_k)
-        q, k, v = x_q @ wq[:, cols], x_kv @ wk[:, cols], x_kv @ wv[:, cols]
-        scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(d_k)
-        if mask is not None:
-            scores = np.where(mask, scores, blocks.MASK_FILL)
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        heads.append(e / e.sum(axis=-1, keepdims=True) @ v)
+        heads.append(attention_reference(x_q @ wq[:, cols], x_kv @ wk[:, cols],
+                                         x_kv @ wv[:, cols], mask))
     return np.concatenate(heads, axis=-1) @ wo
 
 
@@ -90,6 +98,17 @@ class TestScaledDotAttention:
         v2[3] -= 50.0
         changed = blocks.scaled_dot_attention(q, t(k2), t(v2), mask=mask).data
         np.testing.assert_allclose(changed[:3], base[:3], atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "causal"])
+    @pytest.mark.parametrize("lead", [(), (3, 4)], ids=["rank2", "rank4"])
+    def test_matches_reference_bit_for_bit(self, lead, masked, dtype):
+        rng = np.random.default_rng(2)
+        q, k, v = (rng.normal(size=lead + (5, 16)).astype(dtype) for _ in range(3))
+        mask = causal_mask(5) if masked else None
+        out = blocks.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), mask=mask)
+        assert out.dtype == dtype
+        assert np.array_equal(out.data, attention_reference(q, k, v, mask))
 
 
 class TestMultiHead:
@@ -185,7 +204,9 @@ class TestResidualSublayer:
         x = t(rng.normal(size=(3, 4)))
         gain, bias = t(np.ones(4)), t(np.zeros(4))
         out = blocks.residual_sublayer(x, t(np.zeros((3, 4))), gain, bias)
-        np.testing.assert_allclose(out.data, ad.layer_norm(x, gain, bias).data)
+        centred = x.data - x.data.mean(axis=-1, keepdims=True)
+        expected = centred / np.sqrt(x.data.var(axis=-1, keepdims=True) + ad.LAYER_NORM_EPS)
+        np.testing.assert_allclose(out.data, expected)
 
     def test_zero_everything_gives_bias(self):
         b = np.array([1.0, -2.0, 0.5, 3.0])

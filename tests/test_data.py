@@ -259,6 +259,21 @@ class TestSplit:
         with pytest.raises(DataError, match=r"\[0, 1\]"):
             split_dataset(synthesize_scenes(8, seed=0), fractions=fractions)
 
+    @pytest.mark.parametrize("count, fractions, sizes", [
+        (1, (0.5, 0.5, 0.0), (1, 0, 0)),
+        (2, (0.25, 0.25, 0.5), (1, 0, 1)),
+        (176, (0.7, 0.1, 0.2), (123, 18, 35)),
+        (3, (1 / 3, 1 / 3, 1 / 3), (1, 1, 1)),
+        (8, (0.7, 0.1, 0.2), (6, 1, 1)),
+        (12, (0.7, 0.1, 0.2), (9, 1, 2)),
+    ], ids=["half-half-of-1", "quarters-of-2", "default-of-176", "thirds-of-3",
+            "default-of-8", "default-of-12"])
+    def test_sizes_by_largest_remainder(self, count, fractions, sizes):
+        # ties go to the earlier split, not to even sizes, whatever float error
+        # makes of the shares (0.7 * 8 is 5.5999..., 0.2 * 8 is 1.6000...)
+        split = split_dataset(synthesize_scenes(count, seed=0), fractions=fractions)
+        assert (len(split.train), len(split.validation), len(split.test)) == sizes
+
 
 class TestSynthesize:
     def test_linear_constant_displacement(self):
