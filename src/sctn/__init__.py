@@ -3,7 +3,7 @@
 from .autodiff import (CounterRng, Tensor, attention, backward, dropout,
                        finite_difference_check, layer_norm)
 from .blocks import (FeedForwardWeights, MultiHeadWeights, feed_forward,
-                     multi_head_attention, residual_sublayer, scaled_dot_attention)
+                     multi_head_attention, residual_sublayer)
 from .model import (ModelConfig, ModelWeights, Scene, decode_step, encode,
                     predict, teacher_forced_forward)
 from .metrics import MetricsReport, ade, evaluate, fde, rmse
@@ -18,6 +18,5 @@ __all__ = [
     "backward", "decode_step", "dropout", "encode", "evaluate", "fde",
     "feed_forward", "finite_difference_check", "l2_loss", "layer_norm",
     "multi_head_attention", "predict", "residual_sublayer",
-    "rmse", "scaled_dot_attention", "teacher_forced_forward",
-    "train",
+    "rmse", "teacher_forced_forward", "train",
 ]

@@ -98,15 +98,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar
-    def __sub__(self, other):
-        return add(self, scalar_mul(other, -1.0))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scalar_mul(self, float(other))
-
 
 def _make(data, parents):
     if _grad_enabled and any(p.requires_grad for p in parents):
@@ -139,42 +130,27 @@ def _acc(t, g):
 # ---------------------------------------------------------------------------
 
 def matmul(a, b):
-    """Matrix product over the last two axes; operands of rank >= 3 are batched
-    over the leading axes, which must match, and a rank-2 rhs is shared.
+    """Product of a (... x K, rank >= 2) with a rank-2 weight b (K x M).
 
-    A shared rhs is one GEMM: the leading axes of a fold into rows, in forward
-    and in backward, so its gradient is a single product, not a stack of
-    per-batch products summed."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul requires rank >= 2 operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    The leading axes of a fold into rows, so forward and backward are each
+    one GEMM and b's gradient is a single product, not per-batch products
+    summed."""
+    if a.ndim < 2 or b.ndim != 2:
+        raise ShapeError(f"matmul takes a rank >= 2 lhs and a rank-2 rhs, got "
+                         f"{a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    if a.ndim >= 3 and b.ndim >= 3 and a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"matmul batch dimensions differ: {a.shape} @ {b.shape}")
-    shared = b.ndim == 2 and a.ndim > 2
-    if shared:
-        out_data = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(
-            a.shape[:-1] + b.shape[-1:])
-    else:
-        out_data = np.matmul(a.data, b.data)
+    rows = a.data.reshape(-1, a.shape[-1])
+    out_data = (rows @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
     _require_finite("matmul output", out_data)
     out = _make(out_data, (a, b))
 
     def backward_fn(g):
-        if shared:
-            g = g.reshape(-1, g.shape[-1])
-            if a.requires_grad:
-                _acc(a, (g @ b.data.T).reshape(a.shape))
-            if b.requires_grad:
-                _acc(b, a.data.reshape(-1, a.shape[-1]).T @ g)
-            return
+        g = g.reshape(-1, g.shape[-1])
         if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            while ga.ndim > a.ndim:  # a rank-2 lhs shared over b's batch
-                ga = ga.sum(axis=0)
-            _acc(a, ga)
+            _acc(a, (g @ b.data.T).reshape(a.shape))
         if b.requires_grad:
-            _acc(b, np.matmul(np.swapaxes(a.data, -1, -2), g))
+            _acc(b, rows.T @ g)
 
     return _link(out, backward_fn)
 

@@ -7,6 +7,7 @@ flat little-endian float32 payloads. Seekable and diffable by manifest.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import fields
 
@@ -74,7 +75,7 @@ def load_tensors(path):
     payload_start = pos
     out = {}
     for name, shape, offset in entries:
-        n = int(np.prod(shape)) if shape else 1
+        n = math.prod(shape)  # exact: np.prod wraps past 2**63 and passes the check
         start = payload_start + offset
         if start + 4 * n > len(blob):
             raise DataError(f"{path}: payload of {name} runs past the end of the file")

@@ -147,9 +147,20 @@ def _held_out(split, path):
     return split.test
 
 
+def _load_checkpoint_for(split, args):
+    """The model of --checkpoint, which must have as many agent channels as
+    the segments of split (from --data)."""
+    weights = checkpoint.load_model_checkpoint(args.checkpoint)
+    n_agents = _infer_n_agents(split)
+    if n_agents != weights.config.n_agents:
+        raise DataError(f"{args.data} has {n_agents} agent channels, but the checkpoint "
+                        f"{args.checkpoint} has n_agents = {weights.config.n_agents}")
+    return weights
+
+
 def _cmd_evaluate(args, cfg):
     split = checkpoint.load_segment_cache(args.data)
-    weights = checkpoint.load_model_checkpoint(args.checkpoint)
+    weights = _load_checkpoint_for(split, args)
     _echo_model(args, cfg, weights.config)
     report = metrics.evaluate(weights, _held_out(split, args.data), weights.config)
     csv_text = report.to_csv()
@@ -163,7 +174,7 @@ def _cmd_predict(args, cfg):
     samples = split.all_samples()
     if not 0 <= args.segment < len(samples):
         raise UsageError(f"--segment {args.segment} outside 0..{len(samples) - 1}")
-    weights = checkpoint.load_model_checkpoint(args.checkpoint)
+    weights = _load_checkpoint_for(split, args)
     mcfg = weights.config
     _echo_model(args, cfg, mcfg)
     sample = samples[args.segment]

@@ -17,10 +17,6 @@ class ConfigError(UsageError):
     """Invalid configuration value."""
 
 
-class MaskError(UsageError):
-    """Malformed attention mask (e.g. a fully masked query row)."""
-
-
 class DataError(Exception):
     """Malformed input data or file format."""
 

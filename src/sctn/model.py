@@ -11,9 +11,10 @@ Training runs the decoder once over the whole shifted-right future
 gradient graph: a ``DecoderCache`` keeps each layer's self-attention keys and
 values of the positions decoded so far, and the cross-attention keys and
 values of the encoder latent, so each step runs the stack on the new
-position only. The causal mask makes this exact; the parallel pass is the
+position only. The causal fill makes this exact; the parallel pass is the
 test oracle. Both run each layer through ``_decoder_layer`` and differ only
-in where its self-attention keys and values come from.
+in where its self-attention keys and values come from. Every attention, the
+encoder's too, is one ``blocks.multi_head_attention`` call.
 """
 from __future__ import annotations
 
@@ -256,33 +257,23 @@ def encode(scene, weights, config, training=False, rng=None):
     if weights.se_enc is not None:
         x = se.se_pass(x, weights.se_enc, channel_mask=scene.channel_mask)
     for layer in weights.encoder:
-        attn = blocks.multi_head_attention(x, x, layer["attn"])
+        attn = blocks.multi_head_attention(x, layer["attn"],
+                                           blocks.keys_values(x, layer["attn"]))
         x = _sublayer(x, attn, layer["attn_norm"], config, training, rng)
         x = _sublayer(x, blocks.feed_forward(x, layer["ffn"]),
                       layer["ffn_norm"], config, training, rng)
     return x
 
 
-def _keys_values(x, attn):
-    """The keys and values attn projects from x, split into heads."""
-    return (blocks.project_heads(x, attn.w_k, attn.heads),
-            blocks.project_heads(x, attn.w_v, attn.heads))
-
-
-def _attend(x, attn, keys_values, mask=None):
-    """Attention of x's queries over keys and values already split into heads."""
-    queries = blocks.project_heads(x, attn.w_q, attn.heads)
-    return blocks.attend_heads(queries, *keys_values, attn, mask=mask)
-
-
-def _decoder_layer(x, layer, self_kv, cross_kv, config, mask, training, rng):
-    """One decoder layer: masked self-attention over the keys and values
-    self_kv, cross-attention over cross_kv (from the encoder latent), then
-    feed-forward, each a post-norm residual sublayer drawing its own dropout."""
-    x = _sublayer(x, _attend(x, layer["self_attn"], self_kv, mask), layer["self_norm"],
-                  config, training, rng)
-    x = _sublayer(x, _attend(x, layer["cross"], cross_kv), layer["cross_norm"],
-                  config, training, rng)
+def _decoder_layer(x, layer, self_kv, cross_kv, config, fill, training, rng):
+    """One decoder layer: self-attention over the keys and values self_kv
+    under the score fill, cross-attention over cross_kv (from the encoder
+    latent), then feed-forward, each a post-norm residual sublayer drawing its
+    own dropout."""
+    x = _sublayer(x, blocks.multi_head_attention(x, layer["self_attn"], self_kv, fill),
+                  layer["self_norm"], config, training, rng)
+    x = _sublayer(x, blocks.multi_head_attention(x, layer["cross"], cross_kv),
+                  layer["cross_norm"], config, training, rng)
     return _sublayer(x, blocks.feed_forward(x, layer["ffn"]), layer["ffn_norm"],
                      config, training, rng)
 
@@ -292,14 +283,15 @@ def _decode_sequence(dec_points, z, weights, config, training=False, rng=None):
 
     dec_points: N x t x 2 (seed token first); returns N x t x 2 outputs.
     Every position's keys and values are projected afresh, under a causal
-    mask; this is the oracle the cached decode_step is checked against.
+    fill; this is the oracle the cached decode_step is checked against.
     """
     x = embedding.compose_input(dec_points, weights.embed, weights.table,
                                 start_t=config.t_obs)
-    mask = blocks.causal_mask(dec_points.shape[1])
+    fill = blocks.causal_fill(dec_points.shape[1], config.np_dtype)
     for layer in weights.decoder:
-        x = _decoder_layer(x, layer, _keys_values(x, layer["self_attn"]),
-                           _keys_values(z, layer["cross"]), config, mask, training, rng)
+        x = _decoder_layer(x, layer, blocks.keys_values(x, layer["self_attn"]),
+                           blocks.keys_values(z, layer["cross"]), config, fill,
+                           training, rng)
     return _output_head(x, dec_points, weights, config)
 
 
@@ -323,7 +315,7 @@ class DecoderCache:
         h = config.heads
         shape = (z.shape[0], h, config.t_pred, config.model_dim // h)
         with ad.no_grad():
-            self.cross = [_keys_values(z, layer["cross"]) for layer in weights.decoder]
+            self.cross = [blocks.keys_values(z, layer["cross"]) for layer in weights.decoder]
         self.keys, self.values = ([np.empty(shape, config.np_dtype) for _ in weights.decoder]
                                   for _ in range(2))
         self.points = np.empty((shape[0], 0, 2))
@@ -331,6 +323,15 @@ class DecoderCache:
     @property
     def length(self):
         return self.points.shape[1]
+
+    def extend(self, i, x, attn):
+        """Append the keys and values attn projects from x, the input of
+        decoder layer i at the next position, to that layer's buffers, and
+        return the keys and values of every position so far."""
+        t = self.length + 1
+        for buf, new in zip((self.keys[i], self.values[i]), blocks.keys_values(x, attn)):
+            buf[:, :, t - 1:t] = new.data
+        return Tensor(self.keys[i][:, :, :t]), Tensor(self.values[i][:, :, :t])
 
 
 @ad.no_grad()
@@ -353,13 +354,10 @@ def decode_step(partial_outputs, weights, config, cache):
     new = points[:, start:]
     x = embedding.compose_input(new, weights.embed, weights.table,
                                 start_t=config.t_obs + start)
-    for layer, keys, values, cross_kv in zip(
-            weights.decoder, cache.keys, cache.values, cache.cross):
-        new_keys, new_values = _keys_values(x, layer["self_attn"])
-        keys[:, :, start:t], values[:, :, start:t] = new_keys.data, new_values.data
-        # the new position attends to every cached one, so it needs no mask
-        x = _decoder_layer(x, layer, (Tensor(keys[:, :, :t]), Tensor(values[:, :, :t])),
-                           cross_kv, config, None, False, None)
+    for i, (layer, cross_kv) in enumerate(zip(weights.decoder, cache.cross)):
+        # the new position attends to every cached one, so it needs no fill
+        x = _decoder_layer(x, layer, cache.extend(i, x, layer["self_attn"]), cross_kv,
+                           config, None, False, None)
     cache.points = points.copy()
     return _output_head(x, new, weights, config).data
 

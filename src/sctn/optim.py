@@ -18,15 +18,15 @@ from .model import teacher_forced_forward
 
 
 def l2_loss(pred, target, channel_mask):
-    """Mean squared error over real channels, timesteps and coordinates."""
+    """Mean squared error over real channels, timesteps and coordinates;
+    target is an array of pred's shape."""
     mask = np.asarray(channel_mask, dtype=bool)
     if not mask.any():
         raise DataError("loss over an all-masked scene")
-    tgt = target if isinstance(target, Tensor) else Tensor(
-        np.asarray(target, dtype=pred.dtype))
-    if pred.shape != tgt.shape:
-        raise ShapeError(f"prediction {pred.shape} vs target {tgt.shape}")
-    diff = pred - tgt
+    neg_target = Tensor(-np.asarray(target, dtype=pred.dtype))
+    if pred.shape != neg_target.shape:
+        raise ShapeError(f"prediction {pred.shape} vs target {neg_target.shape}")
+    diff = ad.add(pred, neg_target)
     sq = ad.mul(diff, diff)
     weight = np.zeros(pred.shape, dtype=pred.data.dtype)
     weight[mask] = 1.0 / (mask.sum() * pred.shape[1] * pred.shape[2])

@@ -52,17 +52,18 @@ class TestCriterion1GradientIntegrity:
             worst = max(worst, finite_difference_check(f, param, step=1e-5,
                                                        sample=sample, rng=rng))
 
-        # attention block
+        # attention block, without and with the causal fill
         mw = MultiHeadWeights(*(t64(rng.normal(size=(16, 16)), grad=True)
                                 for _ in range(4)), heads=2)
         x = t64(rng.normal(size=(3, 4, 16)))
 
-        def attn_loss(_p):
-            out = blocks.multi_head_attention(x, x, mw)
-            return ad.mean(ad.mul(out, out))
+        for fill in (None, blocks.causal_fill(4, np.float64)):
+            def attn_loss(_p, fill=fill):
+                out = blocks.multi_head_attention(x, mw, blocks.keys_values(x, mw), fill)
+                return ad.mean(ad.mul(out, out))
 
-        for param in (mw.w_q, mw.w_k, mw.w_v, mw.w_o):
-            check(attn_loss, param, sample=16)
+            for param in (mw.w_q, mw.w_k, mw.w_v, mw.w_o):
+                check(attn_loss, param, sample=16)
 
         # feed-forward block
         fw = FeedForwardWeights(w1=t64(rng.normal(size=(16, 32)), grad=True),
@@ -134,24 +135,22 @@ class TestCriterion2AttentionInvariants:
             v = rng.normal(size=(t, d))
 
             # softmax rows sum to one: attend onto an identity value matrix
-            w = blocks.scaled_dot_attention(q, t64(k), t64(np.eye(t))).data
+            w = ad.attention(q, t64(k), t64(np.eye(t))).data
             worst_sum = max(worst_sum, float(np.abs(w.sum(axis=1) - 1).max()))
 
             # joint key/value permutation invariance
             perm = rng.permutation(t)
-            base = blocks.scaled_dot_attention(q, t64(k), t64(v)).data
-            permuted = blocks.scaled_dot_attention(q, t64(k[perm]),
-                                                   t64(v[perm])).data
+            base = ad.attention(q, t64(k), t64(v)).data
+            permuted = ad.attention(q, t64(k[perm]), t64(v[perm])).data
             worst_perm = max(worst_perm, float(np.abs(permuted - base).max()))
 
-            # causal mask: perturbing the last position leaves earlier rows
-            mask = blocks.causal_mask(t)
-            ref = blocks.scaled_dot_attention(q, t64(k), t64(v), mask=mask).data
+            # causal fill: perturbing the last position leaves earlier rows
+            fill = blocks.causal_fill(t, np.float64)
+            ref = ad.attention(q, t64(k), t64(v), fill=fill).data
             k2, v2 = k.copy(), v.copy()
             k2[-1] += 100.0
             v2[-1] -= 100.0
-            out = blocks.scaled_dot_attention(q, t64(k2), t64(v2),
-                                              mask=mask).data
+            out = ad.attention(q, t64(k2), t64(v2), fill=fill).data
             worst_causal = max(worst_causal,
                                float(np.abs(out[:-1] - ref[:-1]).max()))
         ok = worst_sum <= 1e-6 and worst_perm <= 1e-6 and worst_causal <= 1e-6

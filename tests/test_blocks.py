@@ -4,8 +4,8 @@ import pytest
 from sctn import autodiff as ad
 from sctn import blocks
 from sctn.autodiff import Tensor
-from sctn.blocks import FeedForwardWeights, MultiHeadWeights, causal_mask
-from sctn.errors import MaskError, ShapeError
+from sctn.blocks import FeedForwardWeights, MultiHeadWeights, causal_fill
+from sctn.errors import ShapeError
 
 
 def t(x, grad=False):
@@ -20,6 +20,11 @@ def random_mha(rng, d, heads):
     return MultiHeadWeights(*(t(rng.normal(size=(d, d))) for _ in range(4)), heads=heads)
 
 
+def mask_fill(mask, dtype):
+    """Boolean mask (True = may attend) -> additive fill for blocked slots."""
+    return np.where(mask, 0.0, blocks.MASK_FILL).astype(dtype)
+
+
 def attention_reference(q, k, v, mask=None):
     """Scaled dot-product attention in plain numpy, one step at a time: the
     scores, their scale, the mask fill, a max-shifted softmax, the weighted
@@ -27,7 +32,7 @@ def attention_reference(q, k, v, mask=None):
     scores = np.matmul(q, np.swapaxes(k, -1, -2))
     scores = scores * float(1.0 / np.sqrt(q.shape[-1]))
     if mask is not None:
-        scores = scores + np.where(mask, 0.0, blocks.MASK_FILL).astype(scores.dtype)
+        scores = scores + mask_fill(mask, scores.dtype)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     return np.matmul(e / e.sum(axis=-1, keepdims=True), v)
 
@@ -44,18 +49,24 @@ def per_head_reference(x_q, x_kv, w, mask=None):
     return np.concatenate(heads, axis=-1) @ wo
 
 
+def self_attention(x, w, fill=None):
+    return blocks.multi_head_attention(x, w, blocks.keys_values(x, w), fill)
+
+
 class TestScaledDotAttention:
+    """autodiff.attention under the fills blocks makes."""
+
     def test_single_key_returns_value(self):
         q = t([[1.0, 2.0]])
         v = t([[5.0, -3.0]])
-        out = blocks.scaled_dot_attention(q, q, v)
+        out = ad.attention(q, q, v)
         np.testing.assert_allclose(out.data, v.data)
 
     def test_orthogonal_scores_give_value_mean(self):
         q = t([[1.0, 0.0]])
         k = t([[0.0, 1.0], [0.0, -1.0], [0.0, 2.0]])
         v = t([[3.0, 0.0], [0.0, 3.0], [6.0, 6.0]])
-        out = blocks.scaled_dot_attention(q, k, v)
+        out = ad.attention(q, k, v)
         np.testing.assert_allclose(out.data, v.data.mean(axis=0, keepdims=True))
 
     def test_hand_derived_two_key_case(self):
@@ -65,15 +76,18 @@ class TestScaledDotAttention:
         v = t([[1.0, 0.0], [0.0, 1.0]])
         e = np.e
         expected = [[e / (e + 1), 1 / (e + 1)]]
-        out = blocks.scaled_dot_attention(q, k, v)
+        out = ad.attention(q, k, v)
         np.testing.assert_allclose(out.data, expected, atol=1e-4)
         assert out.data[0, 0] == pytest.approx(0.7311, abs=1e-4)
 
-    def test_fully_masked_row_rejected(self):
-        q = t(np.zeros((2, 2)))
-        mask = np.array([[True, True], [False, False]])
-        with pytest.raises(MaskError):
-            blocks.scaled_dot_attention(q, q, q, mask=mask)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_causal_fill_blocks_only_later_keys(self, dtype):
+        for n in (1, 2, 5):
+            fill = causal_fill(n, dtype)
+            assert fill.dtype == dtype
+            assert np.array_equal(fill, mask_fill(np.tril(np.ones((n, n), bool)), dtype))
+            # the diagonal stays open, so every query row keeps a key
+            assert (fill == 0).any(axis=-1).all()
 
     def test_joint_kv_permutation_invariance(self):
         rng = np.random.default_rng(0)
@@ -82,8 +96,8 @@ class TestScaledDotAttention:
             k = rng.normal(size=(5, 4))
             v = rng.normal(size=(5, 4))
             perm = rng.permutation(5)
-            base = blocks.scaled_dot_attention(q, t(k), t(v)).data
-            perm_out = blocks.scaled_dot_attention(q, t(k[perm]), t(v[perm])).data
+            base = ad.attention(q, t(k), t(v)).data
+            perm_out = ad.attention(q, t(k[perm]), t(v[perm])).data
             np.testing.assert_allclose(perm_out, base, atol=1e-6)
 
     def test_causal_mask_blocks_future(self):
@@ -91,12 +105,12 @@ class TestScaledDotAttention:
         q = t(rng.normal(size=(4, 4)))
         k = rng.normal(size=(4, 4))
         v = rng.normal(size=(4, 4))
-        mask = causal_mask(4)
-        base = blocks.scaled_dot_attention(q, t(k), t(v), mask=mask).data
+        fill = causal_fill(4, np.float64)
+        base = ad.attention(q, t(k), t(v), fill=fill).data
         k2, v2 = k.copy(), v.copy()
         k2[3] += 100.0
         v2[3] -= 50.0
-        changed = blocks.scaled_dot_attention(q, t(k2), t(v2), mask=mask).data
+        changed = ad.attention(q, t(k2), t(v2), fill=fill).data
         np.testing.assert_allclose(changed[:3], base[:3], atol=1e-6)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -105,8 +119,9 @@ class TestScaledDotAttention:
     def test_matches_reference_bit_for_bit(self, lead, masked, dtype):
         rng = np.random.default_rng(2)
         q, k, v = (rng.normal(size=lead + (5, 16)).astype(dtype) for _ in range(3))
-        mask = causal_mask(5) if masked else None
-        out = blocks.scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v), mask=mask)
+        fill = causal_fill(5, dtype) if masked else None
+        mask = np.tril(np.ones((5, 5), bool)) if masked else None
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), fill=fill)
         assert out.dtype == dtype
         assert np.array_equal(out.data, attention_reference(q, k, v, mask))
 
@@ -115,39 +130,36 @@ class TestMultiHead:
     def test_single_identity_head_reduces(self):
         rng = np.random.default_rng(2)
         x = t(rng.normal(size=(5, 4)))
-        out = blocks.multi_head_attention(x, x, identity_mha(4))
-        direct = blocks.scaled_dot_attention(x, x, x)
+        out = self_attention(x, identity_mha(4))
+        direct = ad.attention(x, x, x)
         np.testing.assert_allclose(out.data, direct.data, atol=1e-6)
 
     def test_feature_dim_checked_against_output_projection(self):
+        # the D x D projections' matmul rejects inputs of another width
         x = t(np.zeros((5, 4)))
-        with pytest.raises(ShapeError, match="feature dim 3"):
-            blocks.multi_head_attention(x, x, identity_mha(3))
-
-    def test_heads_must_divide_feature_dim(self):
-        w = random_mha(np.random.default_rng(3), 8, heads=3)
-        x = t(np.zeros((5, 8)))
-        with pytest.raises(ShapeError, match="3 heads do not divide feature dim 8"):
-            blocks.multi_head_attention(x, x, w)
+        with pytest.raises(ShapeError, match=r"inner dimensions differ: \(5, 4\) @ \(3, 3\)"):
+            self_attention(x, identity_mha(3))
 
     def test_shape_preserved(self):
         rng = np.random.default_rng(3)
         w = random_mha(rng, 16, heads=4)
         x = t(rng.normal(size=(15, 16)))
-        assert blocks.multi_head_attention(x, x, w).shape == (15, 16)
+        assert self_attention(x, w).shape == (15, 16)
 
     def test_batched_matches_per_channel(self):
         rng = np.random.default_rng(4)
         w = random_mha(rng, 8, heads=2)
         x = rng.normal(size=(3, 6, 8))
-        batched = blocks.multi_head_attention(t(x), t(x), w).data
-        for c in range(3):
-            single = blocks.multi_head_attention(t(x[c]), t(x[c]), w).data
-            np.testing.assert_allclose(batched[c], single, atol=1e-10)
+        for fill in (None, causal_fill(6, np.float64)):
+            batched = self_attention(t(x), w, fill).data
+            for c in range(3):
+                single = self_attention(t(x[c]), w, fill).data
+                np.testing.assert_allclose(batched[c], single, atol=1e-10)
 
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["rank2", "rank3"])
     @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "masked"])
     def test_matches_per_head_reference(self, lead, masked):
+        # cross-attention: queries from x_q, keys and values from x_kv
         rng = np.random.default_rng(5)
         w = random_mha(rng, 12, heads=3)
         x_q = rng.normal(size=lead + (4, 12))
@@ -156,7 +168,8 @@ class TestMultiHead:
         if masked:
             mask = rng.random((4, 6)) < 0.5
             mask[:, 0] = True
-        out = blocks.multi_head_attention(t(x_q), t(x_kv), w, mask=mask)
+        fill = None if mask is None else mask_fill(mask, np.float64)
+        out = blocks.multi_head_attention(t(x_q), w, blocks.keys_values(t(x_kv), w), fill)
         np.testing.assert_allclose(out.data, per_head_reference(x_q, x_kv, w, mask),
                                    rtol=0, atol=1e-12)
 

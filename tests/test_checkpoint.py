@@ -1,11 +1,23 @@
+import struct
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from sctn import checkpoint, config as config_mod, data as data_mod, model
+from sctn.cli import main
 from sctn.errors import ConfigError, DataError
 from sctn.model import ModelConfig, ModelWeights, TOY_DIMS, predict
+
+
+def overflow_dims(path, name):
+    """Write a one-entry container for name whose dims (2**31, 2**31, 4) claim
+    2**64 elements, with 16 payload bytes."""
+    checkpoint.save_tensors(path, {name: np.zeros((1, 1, 4), dtype=np.float32)})
+    blob = bytearray(path.read_bytes())
+    # magic, version, count, name length, name, rank, then the dims
+    struct.pack_into("<II", blob, 4 + 2 + 4 + 2 + len(name) + 1, 2**31, 2**31)
+    path.write_bytes(bytes(blob))
 
 
 class TestTensorContainer:
@@ -55,6 +67,13 @@ class TestTensorContainer:
         with pytest.raises(DataError, match="truncated|past the end"):
             checkpoint.load_tensors(path)
 
+    def test_dims_whose_product_overflows_rejected(self, tmp_path):
+        # 2**31 * 2**31 * 4 elements wrap to 0 in int64
+        path = tmp_path / "t.sctn"
+        overflow_dims(path, "layer/w")
+        with pytest.raises(DataError, match="payload of layer/w runs past the end"):
+            checkpoint.load_tensors(path)
+
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "t.sctn"
         checkpoint.save_tensors(path, {"x": np.zeros(1, dtype=np.float32)})
@@ -95,6 +114,19 @@ class TestModelCheckpoint:
         loaded = checkpoint.load_model_checkpoint(path)
         np.testing.assert_array_equal(predict(scene, weights, cfg),
                                       predict(scene, loaded, cfg))
+
+    def test_overflowing_checkpoint_entry_exits_2(self, tmp_path, capsys):
+        cfg = ModelConfig(**TOY_DIMS)
+        ckpt = tmp_path / "model.sctn"
+        checkpoint.save_model_checkpoint(ckpt, ModelWeights(cfg))
+        overflow_dims(ckpt, "embed/w")
+        cache = tmp_path / "segments.sctn"
+        samples = data_mod.synthesize_scenes(3, seed=0, n_agents=cfg.n_agents)
+        checkpoint.save_segment_cache(cache, data_mod.split_dataset(samples))
+        assert main(["evaluate", "--data", str(cache), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "payload of embed/w" in err
 
     def test_missing_sidecar_rejected(self, tmp_path):
         cfg = ModelConfig(**TOY_DIMS)

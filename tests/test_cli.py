@@ -434,6 +434,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "past the end" in err
 
+    @pytest.mark.parametrize("se", ["on", "off"])
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_cache_agent_count_differing_from_checkpoint_is_data_error(
+            self, tmp_path, small_cfg, capsys, se, command):
+        cache = synth(tmp_path, small_cfg)
+        ckpt = tmp_path / "t" / "model.sctn"
+        assert run(["train", "--config", small_cfg, "--data", cache, "--epochs", "0",
+                    "--se", se, "--out", tmp_path / "t"]) == 0
+        five = tmp_path / "five.cfg"
+        five.write_text(SMALL_CFG + "synth_agents = 5\n")
+        other = synth(tmp_path, five, name="five")
+        assert run([command, "--config", small_cfg, "--data", other,
+                    "--checkpoint", ckpt, "--out", tmp_path / "e"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(other) in err and str(ckpt) in err
+        assert "5 agent channels" in err and "n_agents = 3" in err
+        assert not list((tmp_path / "e").glob("*.csv"))
+
     @pytest.mark.parametrize("line, names", [
         ("heads = two", "heads"),
         ("bogus_key = 1", "bogus_key"),

@@ -3,7 +3,7 @@ import pytest
 
 from sctn import autodiff as ad
 from sctn import data as data_mod
-from sctn import model, optim
+from sctn import blocks, model, optim
 from sctn.autodiff import finite_difference_check
 from sctn.errors import ConfigError, DataError, UsageError
 from sctn.model import ModelConfig, ModelWeights, Scene, TOY_DIMS
@@ -235,6 +235,40 @@ class TestTeacherForcing:
         seed_tok = scene.observed(cfg.t_obs)[:, -1:, :]
         step1 = model.decode_step(seed_tok, weights, cfg, model.DecoderCache(z, weights, cfg))
         np.testing.assert_allclose(forced.data[:, :1], step1, atol=1e-10)
+
+
+class TestAttentionRoute:
+    """Every attention of the model is one blocks.multi_head_attention call."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = []
+        attend = blocks.multi_head_attention
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return attend(*args, **kwargs)
+
+        monkeypatch.setattr(blocks, "multi_head_attention", counted)
+        return calls
+
+    def test_predict_attends_once_per_layer_and_step(self, monkeypatch):
+        cfg = model.config_for_profile("desk", n_agents=3)
+        weights = ModelWeights(cfg)
+        scene = padded_scene(cfg, "linear", n_real=3)
+        calls = self.count_calls(monkeypatch)
+        model.predict(scene, weights, cfg)
+        # the encoder's layers, then self- and cross-attention per decoder
+        # layer at every step
+        assert len(calls) == cfg.layers + 2 * cfg.layers * cfg.t_pred == 102
+
+    def test_teacher_forced_pass_attends_three_times_per_layer(self, monkeypatch):
+        cfg = model.config_for_profile("desk", n_agents=3)
+        weights = ModelWeights(cfg)
+        scene = padded_scene(cfg, "linear", n_real=3)
+        calls = self.count_calls(monkeypatch)
+        model.teacher_forced_forward(scene, weights, cfg, training=False)
+        assert len(calls) == 3 * cfg.layers == 6
 
 
 class TestMaskInertia:
