@@ -169,13 +169,6 @@ def _read_segment(tensors, prefix, files):
 # model checkpoints
 # ---------------------------------------------------------------------------
 
-# sidecar keys of removed features, each with the one value at which the
-# checkpoint still describes the current model
-_RETIRED_KEYS = {"se_on_decoder": "False", "embed_hidden": "False"}
-_SIDECAR_SCHEMA = {**config_mod.MODEL_SCHEMA,
-                   **{key: (str, value) for key, value in _RETIRED_KEYS.items()}}
-
-
 def save_model_checkpoint(path, weights):
     """Container of all learnable tensors plus a key=value config sidecar."""
     save_tensors(path, weights.state_dict())
@@ -185,36 +178,26 @@ def save_model_checkpoint(path, weights):
 
 
 def load_model_checkpoint(path):
-    """Rebuild ModelWeights from a checkpoint and its config sidecar."""
+    """Rebuild ModelWeights from a checkpoint and its config sidecar, which
+    must hold one line for every model key."""
     sidecar = str(path) + ".config"
     try:
-        values = config_mod.parse_config_file(sidecar, _SIDECAR_SCHEMA)
+        values = config_mod.parse_config_file(sidecar, config_mod.MODEL_SCHEMA)
     except FileNotFoundError:
         raise DataError(f"{sidecar}: checkpoint config sidecar missing") from None
     except ConfigError as exc:
         raise DataError(str(exc)) from None
-    for key, value in _RETIRED_KEYS.items():
-        found = values.pop(key, value)
-        if found != value:
-            raise DataError(f"{sidecar}: {key} = {found} is no longer supported")
+    missing = [key for key in config_mod.MODEL_SCHEMA if key not in values]
+    if missing:
+        raise DataError(f"{sidecar}: no line for model key {missing[0]}")
     try:
         config = ModelConfig(**values)
     except ConfigError as exc:
         raise DataError(f"{sidecar}: {exc}") from None
     weights = ModelWeights(config)
     state = load_tensors(path)
-    _join_legacy_heads(state, weights, path)
-    weights.load_state_dict(state)
+    try:
+        weights.load_state_dict(state)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return weights
-
-
-def _join_legacy_heads(state, weights, path):
-    """Per-head tensors (.../wq0, wq1, ...) joined by column, head i as block i."""
-    for name in weights.registry:
-        parts = [f"{name}{i}" for i in range(weights.config.heads)]
-        if name.endswith(("/wq", "/wk", "/wv")) and any(p in state for p in parts):
-            try:
-                state[name] = np.concatenate([state.pop(p) for p in parts], axis=1)
-            except KeyError as exc:
-                missing = exc.args[0]
-                raise DataError(f"{path}: checkpoint is missing parameter {missing}") from None

@@ -78,10 +78,12 @@ def _cmd_synth(args, cfg):
 
 def _cmd_prepare(args, cfg):
     records = data_mod.parse_trajectory_csv(args.data, units=cfg["units"])
-    records = data_mod.resample(records, factor=2)
-    samples = data_mod.build_segments(records, cfg["n_agents"],
+    samples = data_mod.build_segments(data_mod.resample(records), cfg["n_agents"],
                                       stride=cfg["stride"],
                                       source_file=str(args.data))
+    if not samples:
+        raise DataError(f"{args.data}: no vehicle has a full {data_mod.WINDOW}-frame "
+                        f"{data_mod.FRAMES_PER_SECOND} Hz window")
     split = data_mod.split_dataset(samples, seed=cfg["seed"], fractions=(
         cfg["train_fraction"], cfg["val_fraction"], cfg["test_fraction"]))
     checkpoint.save_segment_cache(args.out / "segments.sctn", split)

@@ -20,6 +20,8 @@ from .errors import DataError
 from .model import Scene
 
 FOOT_IN_METRES = 0.3048
+LOG_FRAMES_PER_SECOND = 10
+FRAMES_PER_SECOND = 5  # the rate of every window the model sees
 T_OBS = 15
 T_PRED = 25
 WINDOW = T_OBS + T_PRED
@@ -93,8 +95,9 @@ def parse_trajectory_csv(path, units="meters"):
     return records
 
 
-def resample(records, factor=2):
-    """Keep every factor-th frame per vehicle, anchored at its first frame."""
+def resample(records, factor=LOG_FRAMES_PER_SECOND // FRAMES_PER_SECOND):
+    """Keep every factor-th frame per vehicle, anchored at its first frame;
+    the default takes a log to FRAMES_PER_SECOND."""
     out = []
     first_frame = {}
     for r in records:
@@ -264,7 +267,7 @@ def synthesize_scenes(count, kind="linear", seed=0, n_agents=3, noise=0.0):
     if kind not in ("linear", "turn", "interaction"):
         raise DataError(f"unknown synthetic kind {kind!r}")
     rng = np.random.default_rng(seed)
-    dt = 0.2  # 5 Hz
+    dt = 1 / FRAMES_PER_SECOND
     t = np.arange(WINDOW) * dt
     samples = []
     for idx in range(count):

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data as data_mod
+from .data import FRAMES_PER_SECOND
 from .errors import UsageError
 from .model import predict
 
@@ -18,7 +19,6 @@ from .model import predict
 REFERENCE_RESULT_5S = dict(ade=1.90, fde=4.66, rmse=3.16)
 
 HORIZON_SECONDS = (1, 2, 3, 4, 5)
-FRAMES_PER_SECOND = 5
 
 
 def _distances(pred, truth, channel_mask, horizon_frames):

@@ -241,13 +241,6 @@ class ModelWeights:
 # forward passes
 # ---------------------------------------------------------------------------
 
-def _sublayer(x, branch, norm, cfg, training, rng):
-    gain, bias = norm
-    return blocks.residual_sublayer(x, branch, gain, bias,
-                                    dropout_rate=cfg.dropout,
-                                    training=training, rng=rng)
-
-
 def encode(scene, weights, config, training=False, rng=None):
     """Observation half -> latent N x T_obs x D."""
     obs = scene.observed(config.t_obs)
@@ -259,9 +252,10 @@ def encode(scene, weights, config, training=False, rng=None):
     for layer in weights.encoder:
         attn = blocks.multi_head_attention(x, layer["attn"],
                                            blocks.keys_values(x, layer["attn"]))
-        x = _sublayer(x, attn, layer["attn_norm"], config, training, rng)
-        x = _sublayer(x, blocks.feed_forward(x, layer["ffn"]),
-                      layer["ffn_norm"], config, training, rng)
+        x = blocks.residual_sublayer(x, attn, *layer["attn_norm"], config.dropout,
+                                     training, rng)
+        x = blocks.residual_sublayer(x, blocks.feed_forward(x, layer["ffn"]),
+                                     *layer["ffn_norm"], config.dropout, training, rng)
     return x
 
 
@@ -270,12 +264,14 @@ def _decoder_layer(x, layer, self_kv, cross_kv, config, fill, training, rng):
     under the score fill, cross-attention over cross_kv (from the encoder
     latent), then feed-forward, each a post-norm residual sublayer drawing its
     own dropout."""
-    x = _sublayer(x, blocks.multi_head_attention(x, layer["self_attn"], self_kv, fill),
-                  layer["self_norm"], config, training, rng)
-    x = _sublayer(x, blocks.multi_head_attention(x, layer["cross"], cross_kv),
-                  layer["cross_norm"], config, training, rng)
-    return _sublayer(x, blocks.feed_forward(x, layer["ffn"]), layer["ffn_norm"],
-                     config, training, rng)
+    x = blocks.residual_sublayer(
+        x, blocks.multi_head_attention(x, layer["self_attn"], self_kv, fill),
+        *layer["self_norm"], config.dropout, training, rng)
+    x = blocks.residual_sublayer(
+        x, blocks.multi_head_attention(x, layer["cross"], cross_kv),
+        *layer["cross_norm"], config.dropout, training, rng)
+    return blocks.residual_sublayer(x, blocks.feed_forward(x, layer["ffn"]),
+                                    *layer["ffn_norm"], config.dropout, training, rng)
 
 
 def _decode_sequence(dec_points, z, weights, config, training=False, rng=None):

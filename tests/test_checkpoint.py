@@ -1,3 +1,4 @@
+import re
 import struct
 from dataclasses import fields
 
@@ -136,34 +137,14 @@ class TestModelCheckpoint:
         with pytest.raises(DataError, match="sidecar"):
             checkpoint.load_model_checkpoint(path)
 
-    @pytest.mark.parametrize("key, value", [
-        ("se_on_decoder", "False"), ("se_on_decoder", "True"),
-        ("embed_hidden", "False"), ("embed_hidden", "True"),
-    ], ids=["False", "True", "embed_hidden-False", "embed_hidden-True"])
-    def test_sidecar_with_decoder_se_key(self, tmp_path, key, value):
-        # sidecars written before the decoder SE block or the hidden embedding
-        # layer was removed
-        cfg = ModelConfig(**TOY_DIMS)
-        path = tmp_path / "model.sctn"
-        checkpoint.save_model_checkpoint(path, ModelWeights(cfg))
-        sidecar = tmp_path / "model.sctn.config"
-        text = sidecar.read_text()
-        assert "\nse_enabled = " in text
-        sidecar.write_text(text.replace("\nse_enabled = ",
-                                        f"\n{key} = {value}\nse_enabled = "))
-        assert f"{key} = {value}" in sidecar.read_text()
-        if value == "False":
-            assert checkpoint.load_model_checkpoint(path).config == cfg
-        else:
-            with pytest.raises(DataError, match=key):
-                checkpoint.load_model_checkpoint(path)
-
     @pytest.mark.parametrize("line, names", [
         ("heads = two", ":3: .*heads"),
         ("bogus_key = 1", ":3: .*bogus_key"),
         ("heads", ":3: expected key = value"),
         ("heads = 0", "heads must be >= 1"),
         ("se_reduction = 0", "se_reduction must be >= 1"),
+        ("embed_hidden = False", ":3: unknown config key 'embed_hidden'"),
+        ("se_on_decoder = False", ":3: unknown config key 'se_on_decoder'"),
     ])
     def test_bad_sidecar_line_is_data_error(self, tmp_path, line, names):
         path = tmp_path / "model.sctn"
@@ -177,6 +158,16 @@ class TestModelCheckpoint:
         with pytest.raises(DataError, match=r"model\.sctn\.config.*" + names):
             checkpoint.load_model_checkpoint(path)
 
+    def test_misshapen_tensor_names_checkpoint(self, tmp_path):
+        path = tmp_path / "model.sctn"
+        checkpoint.save_model_checkpoint(path, ModelWeights(ModelConfig(**TOY_DIMS)))
+        tensors = checkpoint.load_tensors(path)
+        tensors["out/w"] = tensors["out/w"][:-1]
+        checkpoint.save_tensors(path, tensors)
+        message = re.escape(f"{path}: parameter out/w shape (15, 2) != expected (16, 2)")
+        with pytest.raises(DataError, match="^" + message):
+            checkpoint.load_model_checkpoint(path)
+
     def test_sidecar_lists_every_field_in_order(self, tmp_path):
         cfg = ModelConfig(**TOY_DIMS)
         path = tmp_path / "model.sctn"
@@ -184,57 +175,6 @@ class TestModelCheckpoint:
         keys = [line.split(" = ")[0] for line in
                 (tmp_path / "model.sctn.config").read_text().splitlines()]
         assert keys == list(config_mod.MODEL_SCHEMA)
-
-
-def per_head_state(weights):
-    """The state dict in the layout of checkpoints that stored one tensor per
-    head: .../wq0, wk0, wv0, wq1, ... in draw order, then .../wo."""
-    heads = weights.config.heads
-    state = {}
-    for name, arr in weights.state_dict().items():
-        prefix, kind = name.rsplit("/", 1)
-        if kind in ("wk", "wv"):
-            continue
-        if kind == "wq":
-            split = {proj: np.split(weights.registry[f"{prefix}/{proj}"].data, heads, axis=1)
-                     for proj in ("wq", "wk", "wv")}
-            for i in range(heads):
-                for proj in ("wq", "wk", "wv"):
-                    state[f"{prefix}/{proj}{i}"] = split[proj][i]
-            continue
-        state[name] = arr
-    return state
-
-
-class TestPerHeadCheckpoint:
-    def make_checkpoint(self, tmp_path):
-        cfg = ModelConfig(seed=3, **{**TOY_DIMS, "dtype": "float32", "heads": 4})
-        weights = ModelWeights(cfg)
-        path = tmp_path / "model.sctn"
-        checkpoint.save_model_checkpoint(path, weights)
-        return cfg, weights, path
-
-    def test_loads_and_predicts_identically(self, tmp_path):
-        cfg, weights, path = self.make_checkpoint(tmp_path)
-        state = per_head_state(weights)
-        assert "enc0/attn/wq3" in state and "enc0/attn/wq" not in state
-        checkpoint.save_tensors(path, state)
-        loaded = checkpoint.load_model_checkpoint(path)
-        for name, arr in weights.state_dict().items():
-            np.testing.assert_array_equal(loaded.registry[name].data, arr)
-        sample = data_mod.synthesize_scenes(1, "turn", seed=5, n_agents=cfg.n_agents)[0]
-        scene = model.Scene(positions=sample.scene.positions[:, :cfg.t_obs + cfg.t_pred],
-                            channel_mask=sample.scene.channel_mask)
-        np.testing.assert_array_equal(predict(scene, weights, cfg),
-                                      predict(scene, loaded, cfg))
-
-    def test_missing_head_is_data_error(self, tmp_path):
-        _, weights, path = self.make_checkpoint(tmp_path)
-        state = per_head_state(weights)
-        del state["dec0/cross/wk2"]
-        checkpoint.save_tensors(path, state)
-        with pytest.raises(DataError, match="missing parameter dec0/cross/wk2"):
-            checkpoint.load_model_checkpoint(path)
 
 
 class TestSegmentCache:

@@ -9,7 +9,7 @@ import pytest
 
 import sctn
 from sctn import autodiff as ad
-from sctn import checkpoint, cli, model
+from sctn import checkpoint, cli, config as config_mod, model
 from sctn import data as data_mod
 from sctn.cli import main
 
@@ -323,6 +323,18 @@ class TestExitCodes:
                     "--out", tmp_path / "prep"]) == 2
         assert "data error" in capsys.readouterr().err
 
+    def test_log_without_a_full_window_is_data_error(self, tmp_path, small_cfg, capsys):
+        # one vehicle over 31 frames at 10 Hz gives 16 frames at 5 Hz, short of 40
+        csv = tmp_path / "short.csv"
+        csv.write_text("vehicle_id,frame_id,local_x,local_y\n" +
+                       "".join(f"1,{frame},{frame},0\n" for frame in range(31)))
+        assert run(["prepare", "--config", small_cfg, "--data", csv,
+                    "--out", tmp_path / "prep"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(csv) in err
+        assert "no vehicle has a full 40-frame 5 Hz window" in err
+        assert not (tmp_path / "prep" / "segments.sctn").exists()
+
     def test_missing_cache_is_data_error(self, tmp_path, small_cfg):
         missing = tmp_path / "nope.sctn"
         missing.write_bytes(b"garbage payload")
@@ -458,6 +470,8 @@ class TestExitCodes:
         ("heads = 0", "heads"),
         ("embed_hidden = True", "embed_hidden"),
         ("se_on_decoder = True", "se_on_decoder"),
+        ("embed_hidden = False", "unknown config key 'embed_hidden'"),
+        ("se_on_decoder = False", "unknown config key 'se_on_decoder'"),
     ])
     def test_bad_sidecar_line_is_data_error(self, tmp_path, small_cfg, capsys,
                                             line, names):
@@ -469,6 +483,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "model.sctn.config" in err
         assert names in err
+
+    @pytest.mark.parametrize("key", list(config_mod.MODEL_SCHEMA))
+    def test_sidecar_missing_a_model_key_is_data_error(self, tmp_path, small_cfg, capsys,
+                                                       key):
+        cache, ckpt = untrained_checkpoint(tmp_path, small_cfg)
+        sidecar = Path(f"{ckpt}.config")
+        lines = sidecar.read_text().splitlines(keepends=True)
+        sidecar.write_text("".join(line for line in lines
+                                   if not line.startswith(f"{key} = ")))
+        assert run(["evaluate", "--config", small_cfg, "--data", cache,
+                    "--checkpoint", ckpt, "--out", tmp_path / "e"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and str(sidecar) in err
+        assert err.rstrip().endswith(f"no line for model key {key}")
 
     @pytest.mark.parametrize("line, key", [
         ("batch_size = 0", "batch_size"),
@@ -505,6 +533,7 @@ class TestExitCodes:
 
     def test_missing_head_of_per_head_checkpoint_is_data_error(self, tmp_path, small_cfg,
                                                                capsys):
+        # the retired layout stored one tensor per head: .../wq0, wq1, ...
         cache, ckpt = untrained_checkpoint(tmp_path, small_cfg)
         tensors = checkpoint.load_tensors(ckpt)
         w_q = tensors.pop("enc0/attn/wq")
@@ -513,7 +542,8 @@ class TestExitCodes:
         assert run(["evaluate", "--config", small_cfg, "--data", cache,
                     "--checkpoint", ckpt, "--out", tmp_path / "e"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error:") and "enc0/attn/wq1" in err
+        assert err.startswith(f"data error: {ckpt}: ")
+        assert err.rstrip().endswith("checkpoint is missing parameter enc0/attn/wq")
 
     @pytest.mark.parametrize("line", ["se_reduction = 0", "heads = 0",
                                       "model_dim = -512\nheads = -8",
