@@ -35,10 +35,10 @@ class MultiHeadWeights:
 
 @dataclass
 class FeedForwardWeights:
-    w1: Tensor = None  # D x ffn_dim
-    b1: Tensor = None  # ffn_dim
-    w2: Tensor = None  # ffn_dim x D
-    b2: Tensor = None  # D
+    w1: Tensor  # D x H, H the hidden width
+    b1: Tensor  # H
+    w2: Tensor  # H x D
+    b2: Tensor  # D
 
 
 def causal_fill(t, dtype):

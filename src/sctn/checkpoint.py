@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import fields
 
 import numpy as np
 
@@ -121,46 +120,50 @@ def save_segment_cache(path, split):
 
 
 def load_segment_cache(path):
-    """Rebuild the DatasetSplit stored by save_segment_cache."""
+    """Rebuild the DatasetSplit stored by save_segment_cache: its split seed
+    and the segments its manifest counts, each with its source line."""
     tensors = load_tensors(path)
-    files = {}
+    manifest = f"{path}.manifest"
     try:
-        with open(str(path) + ".manifest") as fh:
-            for line in fh:
-                if line.startswith("source "):
-                    key, name = line.split(":", 1)
-                    files[int(key.split()[1])] = name.strip()
+        with open(manifest) as fh:
+            lines = dict(line.rstrip("\n").partition(": ")[::2] for line in fh)
     except FileNotFoundError:
-        pass
-    split = data_mod.DatasetSplit(
-        seed=int(tensors.get("split_seed", np.zeros(1))[0]))
-    idx = 0
-    while f"segment/{idx:05d}/positions" in tensors:
+        raise DataError(f"{manifest}: segment cache manifest missing") from None
+    total = lines.get("segments total", "")
+    if not total.isdigit():
+        raise DataError(f"{manifest}: no 'segments total' line")
+    if "split_seed" not in tensors:
+        raise DataError(f"{path}: no entry 'split_seed'")
+    if int(total) == 0:
+        raise DataError(f"{path}: segment cache holds no segments")
+    split = data_mod.DatasetSplit(seed=int(tensors["split_seed"][0]))
+    for idx in range(int(total)):
         try:
-            split_name, sample = _read_segment(tensors, f"segment/{idx:05d}", files)
+            split_name, sample = _read_segment(tensors, f"segment/{idx:05d}", lines)
         except KeyError as exc:
             raise DataError(f"{path}: segment {idx}: no entry {exc}") from None
         except DataError as exc:
             raise DataError(f"{path}: segment {idx}: {exc}") from None
         getattr(split, split_name).append(sample)
-        idx += 1
-    if idx == 0:
-        raise DataError(f"{path}: segment cache holds no segments")
     return split
 
 
-def _read_segment(tensors, prefix, files):
-    """(split name, SegmentSample) of one cached segment, checked for shape."""
+def _read_segment(tensors, prefix, lines):
+    """(split name, SegmentSample) of one cached segment, checked for shape;
+    lines maps each manifest key, such as 'source i', to its value."""
     positions, mask, meta = (tensors[f"{prefix}/{entry}"]
                              for entry in ("positions", "mask", "meta"))
     if meta.shape != (7,) or not np.isfinite(meta).all():
         raise DataError(f"meta must hold 7 finite entries, got {meta.tolist()}")
     if meta[5] not in (0, 1, 2):
         raise DataError(f"split code {meta[5]:g} is not 0, 1 or 2")
+    source = f"source {int(meta[6])}"
+    if source not in lines:
+        raise DataError(f"no '{source}:' line in the manifest")
     scene = Scene(positions=positions, channel_mask=mask.astype(bool),
                   target_index=int(meta[0]), origin=meta[3:5].astype(np.float64))
     sample = data_mod.SegmentSample(
-        scene=scene, source_file=files.get(int(meta[6]), ""),
+        scene=scene, source_file=lines[source],
         vehicle_id=int(meta[1]), start_frame=int(meta[2]))
     return _SPLITS[int(meta[5])], sample
 
@@ -173,8 +176,8 @@ def save_model_checkpoint(path, weights):
     """Container of all learnable tensors plus a key=value config sidecar."""
     save_tensors(path, weights.state_dict())
     with open(str(path) + ".config", "w") as fh:
-        for f in fields(weights.config):
-            fh.write(f"{f.name} = {getattr(weights.config, f.name)}\n")
+        fh.write(config_mod.echo({key: getattr(weights.config, key)
+                                  for key in config_mod.MODEL_SCHEMA}))
 
 
 def load_model_checkpoint(path):

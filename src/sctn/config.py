@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import fields
 from typing import get_type_hints
 
-from .data import T_OBS, T_PRED
 from .errors import ConfigError
-from .model import PROFILES, ModelConfig
+from .model import PROFILES, T_OBS, T_PRED, ModelConfig
 
 _MODEL_TYPES = get_type_hints(ModelConfig)
 

@@ -17,13 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .model import Scene
+from .model import T_OBS, T_PRED, Scene
 
 FOOT_IN_METRES = 0.3048
 LOG_FRAMES_PER_SECOND = 10
 FRAMES_PER_SECOND = 5  # the rate of every window the model sees
-T_OBS = 15
-T_PRED = 25
 WINDOW = T_OBS + T_PRED
 REQUIRED_COLUMNS = ("vehicle_id", "frame_id", "local_x", "local_y")
 

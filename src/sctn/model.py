@@ -28,6 +28,9 @@ from .autodiff import Tensor
 from .blocks import FeedForwardWeights, MultiHeadWeights
 from .errors import ConfigError, DataError, UsageError
 
+T_OBS = 15   # observed frames of a window
+T_PRED = 25  # predicted frames that follow them
+
 
 @dataclass
 class ModelConfig:
@@ -36,33 +39,26 @@ class ModelConfig:
     The run config schema and the checkpoint sidecar are derived from these
     fields; a profile is a set of values applied over their defaults."""
     n_agents: int = 10
-    t_obs: int = 15
-    t_pred: int = 25
+    t_obs: int = T_OBS
+    t_pred: int = T_PRED
     model_dim: int = 512
     heads: int = 8
     layers: int = 2
-    ffn_dim: int = 0          # 0 -> 4 * model_dim
     dropout: float = 0.1
-    se_reduction: int = 2
     se_enabled: bool = True
     predict_offsets: bool = False
     dtype: str = "float32"
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("n_agents", "t_obs", "t_pred", "model_dim", "heads", "layers",
-                    "se_reduction"):
+        for key in ("n_agents", "t_obs", "t_pred", "model_dim", "heads", "layers"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if self.ffn_dim < 0:
-            raise ConfigError(f"ffn_dim must be >= 0, got {self.ffn_dim}")
         if not 0 <= self.dropout < 1:
             raise ConfigError(f"dropout must lie in [0, 1), got {self.dropout}")
         if self.model_dim % self.heads != 0:
             raise ConfigError(
                 f"model_dim {self.model_dim} not divisible by heads {self.heads}")
-        if self.ffn_dim == 0:
-            self.ffn_dim = 4 * self.model_dim
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"unsupported dtype {self.dtype}")
 
@@ -169,19 +165,18 @@ class ModelWeights:
                                 self._param(f"{prefix}/wo", (d, d), fan_in=d), heads=h)
 
     def _ffn(self, prefix):
-        cfg = self.config
+        d = self.config.model_dim
+        hidden = 4 * d  # the transformer's feed-forward width
         return FeedForwardWeights(
-            w1=self._param(f"{prefix}/w1", (cfg.model_dim, cfg.ffn_dim),
-                           fan_in=cfg.model_dim),
-            b1=self._param(f"{prefix}/b1", (cfg.ffn_dim,)),
-            w2=self._param(f"{prefix}/w2", (cfg.ffn_dim, cfg.model_dim),
-                           fan_in=cfg.ffn_dim),
-            b2=self._param(f"{prefix}/b2", (cfg.model_dim,)),
+            w1=self._param(f"{prefix}/w1", (d, hidden), fan_in=d),
+            b1=self._param(f"{prefix}/b1", (hidden,)),
+            w2=self._param(f"{prefix}/w2", (hidden, d), fan_in=hidden),
+            b2=self._param(f"{prefix}/b2", (d,)),
         )
 
     def _se(self, prefix):
         cfg = self.config
-        width = se.bottleneck_width(cfg.n_agents, cfg.se_reduction)
+        width = se.bottleneck_width(cfg.n_agents)
         return se.SEWeights(
             w1=self._param(f"{prefix}/w1", (cfg.n_agents, width), fan_in=cfg.n_agents),
             w2=self._param(f"{prefix}/w2", (width, cfg.n_agents), fan_in=width),

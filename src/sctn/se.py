@@ -16,14 +16,17 @@ from .autodiff import Tensor
 from .errors import ShapeError
 
 
-def bottleneck_width(n_channels, reduction_ratio):
-    return max(1, n_channels // reduction_ratio)
+REDUCTION = 2  # channels per unit of the excite bottleneck
+
+
+def bottleneck_width(n_channels):
+    return max(1, n_channels // REDUCTION)
 
 
 @dataclass
 class SEWeights:
-    w1: Tensor  # N x (N // r)
-    w2: Tensor  # (N // r) x N
+    w1: Tensor  # N x bottleneck_width(N)
+    w2: Tensor  # bottleneck_width(N) x N
 
 
 def squeeze(e):

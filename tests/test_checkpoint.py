@@ -142,7 +142,8 @@ class TestModelCheckpoint:
         ("bogus_key = 1", ":3: .*bogus_key"),
         ("heads", ":3: expected key = value"),
         ("heads = 0", "heads must be >= 1"),
-        ("se_reduction = 0", "se_reduction must be >= 1"),
+        ("ffn_dim = 256", ":3: unknown config key 'ffn_dim'"),
+        ("se_reduction = 2", ":3: unknown config key 'se_reduction'"),
         ("embed_hidden = False", ":3: unknown config key 'embed_hidden'"),
         ("se_on_decoder = False", ":3: unknown config key 'se_on_decoder'"),
     ])
@@ -175,6 +176,13 @@ class TestModelCheckpoint:
         keys = [line.split(" = ")[0] for line in
                 (tmp_path / "model.sctn.config").read_text().splitlines()]
         assert keys == list(config_mod.MODEL_SCHEMA)
+
+    def test_sidecar_writes_bools_as_config_echo_does(self, tmp_path):
+        cfg = ModelConfig(**TOY_DIMS)
+        path = tmp_path / "model.sctn"
+        checkpoint.save_model_checkpoint(path, ModelWeights(cfg))
+        lines = (tmp_path / "model.sctn.config").read_text().splitlines()
+        assert "se_enabled = true" in lines and "predict_offsets = false" in lines
 
 
 class TestSegmentCache:
@@ -210,12 +218,13 @@ class TestSegmentCache:
         ("meta", lambda m: np.concatenate([m[:5], [7.0], m[6:]]), "split code 7 "),
         ("mask", None, "no entry 'segment/00001/mask'"),
         ("meta", None, "no entry 'segment/00001/meta'"),
+        ("positions", None, "no entry 'segment/00001/positions'"),
         ("meta", lambda m: np.concatenate([[99.0], m[1:]]), "target channel 99 must be"),
         ("mask", lambda m: m[:-1], r"positions of shape \(3, 40, 2\) and mask of shape \(2,\)"),
         ("positions", lambda p: p[..., :1], r"positions of shape \(3, 40, 1\)"),
         ("meta", lambda m: m[:6], "meta must hold 7"),
-    ], ids=["split-code", "no-mask", "no-meta", "target-index", "mask-length",
-            "positions-shape", "meta-length"])
+    ], ids=["split-code", "no-mask", "no-meta", "no-positions", "target-index",
+            "mask-length", "positions-shape", "meta-length"])
     def test_corrupt_segment_names_it(self, tmp_path, entry, corrupt, message):
         path = tmp_path / "cache.sctn"
         checkpoint.save_segment_cache(path, self.make_split())
@@ -231,8 +240,39 @@ class TestSegmentCache:
 
     def test_empty_cache_rejected(self, tmp_path):
         path = tmp_path / "cache.sctn"
-        checkpoint.save_tensors(path, {"split_seed": np.zeros(1, dtype=np.float32)})
+        checkpoint.save_segment_cache(path, data_mod.DatasetSplit())
         with pytest.raises(DataError, match="no segments"):
+            checkpoint.load_segment_cache(path)
+
+    def test_missing_split_seed_rejected(self, tmp_path):
+        path = tmp_path / "cache.sctn"
+        checkpoint.save_segment_cache(path, self.make_split())
+        tensors = checkpoint.load_tensors(path)
+        del tensors["split_seed"]
+        checkpoint.save_tensors(path, tensors)
+        with pytest.raises(DataError, match="cache.sctn: no entry 'split_seed'"):
+            checkpoint.load_segment_cache(path)
+
+    def test_missing_manifest_rejected(self, tmp_path):
+        path = tmp_path / "cache.sctn"
+        checkpoint.save_segment_cache(path, self.make_split())
+        (tmp_path / "cache.sctn.manifest").unlink()
+        with pytest.raises(DataError, match="cache.sctn.manifest: segment cache "
+                                            "manifest missing"):
+            checkpoint.load_segment_cache(path)
+
+    @pytest.mark.parametrize("dropped, message", [
+        ("source 0: ", r"cache.sctn: segment 0: no 'source 0:' line in the manifest"),
+        ("segments total: ", r"cache.sctn.manifest: no 'segments total' line"),
+    ], ids=["source", "total"])
+    def test_manifest_without_line_rejected(self, tmp_path, dropped, message):
+        path = tmp_path / "cache.sctn"
+        checkpoint.save_segment_cache(path, self.make_split())
+        manifest = tmp_path / "cache.sctn.manifest"
+        lines = manifest.read_text().splitlines(keepends=True)
+        manifest.write_text("".join(line for line in lines
+                                    if not line.startswith(dropped)))
+        with pytest.raises(DataError, match=message):
             checkpoint.load_segment_cache(path)
 
 
@@ -296,8 +336,8 @@ class TestConfigFile:
     def test_schema_holds_every_model_field_in_order(self):
         assert list(config_mod.SCHEMA) == [
             "profile", "n_agents", "t_obs", "t_pred", "model_dim", "heads",
-            "layers", "ffn_dim", "dropout", "se_reduction", "se_enabled",
-            "predict_offsets", "dtype", "seed", "epochs", "batch_size", "lr",
+            "layers", "dropout", "se_enabled", "predict_offsets", "dtype",
+            "seed", "epochs", "batch_size", "lr",
             "units", "stride", "train_fraction", "val_fraction",
             "test_fraction", "synth_count", "synth_kind", "synth_agents",
             "synth_noise", "ablation_neighbors", "ablation_epochs"]

@@ -239,7 +239,7 @@ class TestConfigEcho:
         echo = (out / "config.txt").read_text().splitlines()
         # a checkpoint that matches no profile keeps the resolved one
         for key in ("profile = desk", "se_enabled = false", "n_agents = 3",
-                    "model_dim = 16", "heads = 2", "ffn_dim = 64"):
+                    "model_dim = 16", "heads = 2"):
             assert key in echo
 
     def test_ablate_echo_leaves_out_keys_each_cell_sets(self, tmp_path, small_cfg):
@@ -472,6 +472,8 @@ class TestExitCodes:
         ("se_on_decoder = True", "se_on_decoder"),
         ("embed_hidden = False", "unknown config key 'embed_hidden'"),
         ("se_on_decoder = False", "unknown config key 'se_on_decoder'"),
+        ("ffn_dim = 256", "unknown config key 'ffn_dim'"),
+        ("se_reduction = 2", "unknown config key 'se_reduction'"),
     ])
     def test_bad_sidecar_line_is_data_error(self, tmp_path, small_cfg, capsys,
                                             line, names):
@@ -530,6 +532,19 @@ class TestExitCodes:
                     "--out", tmp_path / "t"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "segment 2: split code 7" in err
+
+    def test_cache_missing_a_segment_is_data_error(self, tmp_path, small_cfg, capsys):
+        _, ckpt = untrained_checkpoint(tmp_path, small_cfg)
+        assert run(["synth", "--config", small_cfg, "--count", 10,
+                    "--out", tmp_path / "ten"]) == 0
+        cache = tmp_path / "ten" / "segments.sctn"
+        tensors = checkpoint.load_tensors(cache)
+        del tensors["segment/00004/positions"]
+        checkpoint.save_tensors(cache, tensors)
+        assert run(["evaluate", "--config", small_cfg, "--data", cache,
+                    "--checkpoint", ckpt, "--out", tmp_path / "e"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {cache}: segment 4: no entry ")
 
     def test_missing_head_of_per_head_checkpoint_is_data_error(self, tmp_path, small_cfg,
                                                                capsys):

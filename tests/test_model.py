@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -57,12 +59,17 @@ class TestConfig:
         assert paper.model_dim == 512 and paper.heads == 8 and paper.dropout == 0.1
 
     def test_ffn_default(self):
-        assert ModelConfig(model_dim=16, heads=2).ffn_dim == 64
+        weights = ModelWeights(ModelConfig(model_dim=16, heads=2))
+        assert weights.registry["enc0/ffn/w1"].shape == (16, 64)
+
+    def test_ffn_width_follows_replaced_model_dim(self):
+        cfg = replace(model.config_for_profile("desk"), model_dim=128)
+        assert ModelWeights(cfg).registry["enc0/ffn/w1"].shape == (128, 512)
 
     @pytest.mark.parametrize("bad", [
         dict(model_dim=0), dict(model_dim=-512, heads=-8), dict(heads=0),
-        dict(layers=0), dict(se_reduction=0), dict(n_agents=0), dict(t_obs=0),
-        dict(t_pred=0), dict(ffn_dim=-1), dict(dropout=-0.1), dict(dropout=1.0),
+        dict(layers=0), dict(n_agents=0), dict(t_obs=0),
+        dict(t_pred=0), dict(dropout=-0.1), dict(dropout=1.0),
         dict(dtype="float16"),
     ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
     def test_out_of_range_values_rejected(self, bad):
@@ -70,9 +77,8 @@ class TestConfig:
             ModelConfig(**bad)
 
     def test_boundary_values_accepted(self):
-        cfg = ModelConfig(model_dim=1, heads=1, layers=1, se_reduction=1,
-                          ffn_dim=0, dropout=0.0)
-        assert cfg.ffn_dim == 4
+        cfg = ModelConfig(model_dim=1, heads=1, layers=1, dropout=0.0)
+        assert ModelWeights(cfg).registry["enc0/ffn/w1"].shape == (1, 4)
 
 
 class TestEncode:

@@ -12,9 +12,13 @@ def t(x, grad=False):
     return Tensor(np.asarray(x, dtype=np.float64), requires_grad=grad)
 
 
-def zero_weights(n, r=2):
-    width = se.bottleneck_width(n, r)
+def zero_weights(n):
+    width = se.bottleneck_width(n)
     return SEWeights(w1=t(np.zeros((n, width))), w2=t(np.zeros((width, n))))
+
+
+def test_bottleneck_halves_channels_and_keeps_one():
+    assert [se.bottleneck_width(n) for n in (1, 2, 3, 10, 11)] == [1, 1, 1, 5, 5]
 
 
 class TestSqueeze:
@@ -44,7 +48,7 @@ class TestExcite:
         rng = np.random.default_rng(0)
         for _ in range(20):
             n = int(rng.integers(2, 8))
-            width = se.bottleneck_width(n, 2)
+            width = se.bottleneck_width(n)
             w = SEWeights(w1=t(rng.normal(scale=3, size=(n, width))),
                           w2=t(rng.normal(scale=3, size=(width, n))))
             out = se.excite(t(rng.normal(scale=5, size=n)), w).data
@@ -83,7 +87,7 @@ class TestFullPass:
     def test_shape_preserved(self):
         rng = np.random.default_rng(4)
         e = t(rng.normal(size=(5, 6, 7)))
-        width = se.bottleneck_width(5, 2)
+        width = se.bottleneck_width(5)
         w = SEWeights(w1=t(rng.normal(size=(5, width))),
                       w2=t(rng.normal(size=(width, 5))))
         assert se.se_pass(e, w, np.ones(5, bool)).shape == (5, 6, 7)
@@ -91,7 +95,7 @@ class TestFullPass:
     def test_only_attenuates(self):
         rng = np.random.default_rng(5)
         e = rng.normal(size=(4, 3, 5))
-        width = se.bottleneck_width(4, 2)
+        width = se.bottleneck_width(4)
         w = SEWeights(w1=t(rng.normal(size=(4, width))),
                       w2=t(rng.normal(size=(width, 4))))
         out = se.se_pass(t(e), w, np.ones(4, bool)).data
@@ -107,7 +111,7 @@ class TestFullPass:
         rng = np.random.default_rng(7)
         e = rng.normal(size=(3, 4, 5))
         mask = np.array([True, True, False])
-        width = se.bottleneck_width(3, 2)
+        width = se.bottleneck_width(3)
         w = SEWeights(w1=t(rng.normal(size=(3, width))),
                       w2=t(rng.normal(size=(width, 3))))
         base = se.se_pass(t(e), w, channel_mask=mask).data
@@ -118,7 +122,7 @@ class TestFullPass:
 
     def test_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(8)
-        width = se.bottleneck_width(3, 2)
+        width = se.bottleneck_width(3)
         w1 = t(rng.normal(size=(3, width)), grad=True)
         w2 = t(rng.normal(size=(width, 3)))
         e = t(rng.normal(size=(3, 4, 5)), grad=True)
