@@ -121,7 +121,8 @@ def save_segment_cache(path, split):
 
 def load_segment_cache(path):
     """Rebuild the DatasetSplit stored by save_segment_cache: its split seed
-    and the segments its manifest counts, each with its source line."""
+    and the segments its manifest counts, each with its source line. The
+    manifest's count for each split must match the segments loaded."""
     tensors = load_tensors(path)
     manifest = f"{path}.manifest"
     try:
@@ -145,6 +146,12 @@ def load_segment_cache(path):
         except DataError as exc:
             raise DataError(f"{path}: segment {idx}: {exc}") from None
         getattr(split, split_name).append(sample)
+    for split_name in _SPLITS:
+        stated = lines.get(f"segments {split_name}")
+        count = len(getattr(split, split_name))
+        if stated != str(count):
+            raise DataError(f"{manifest}: 'segments {split_name}' reads {stated!r}, "
+                            f"but {path} holds {count} {split_name} segments")
     return split
 
 

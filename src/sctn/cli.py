@@ -66,6 +66,7 @@ def _resolve(args):
 
 
 def _cmd_synth(args, cfg):
+    _echo(args, cfg)
     samples = data_mod.synthesize_scenes(
         cfg["synth_count"], kind=cfg["synth_kind"], seed=cfg["seed"],
         n_agents=cfg["synth_agents"], noise=cfg["synth_noise"])
@@ -84,6 +85,7 @@ def _cmd_prepare(args, cfg):
     if not samples:
         raise DataError(f"{args.data}: no vehicle has a full {data_mod.WINDOW}-frame "
                         f"{data_mod.FRAMES_PER_SECOND} Hz window")
+    _echo(args, cfg)
     split = data_mod.split_dataset(samples, seed=cfg["seed"], fractions=(
         cfg["train_fraction"], cfg["val_fraction"], cfg["test_fraction"]))
     checkpoint.save_segment_cache(args.out / "segments.sctn", split)
@@ -104,6 +106,7 @@ def _infer_n_agents(split):
 
 
 def _echo(args, cfg):
+    """Write config.txt; each command calls it once its inputs have loaded."""
     (args.out / "config.txt").write_text(config_mod.echo(cfg))
 
 
@@ -220,6 +223,7 @@ def _cmd_ablate(args, cfg):
 
 
 def _cmd_gradcheck(args, cfg):
+    _echo(args, cfg)
     mcfg = model.ModelConfig(**model.TOY_DIMS)
     weights = model.ModelWeights(mcfg)
     synth = data_mod.synthesize_scenes(1, kind="linear", seed=cfg["seed"],
@@ -270,7 +274,6 @@ def main(argv=None):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             cfg = _resolve(args)
             args.out.mkdir(parents=True, exist_ok=True)
-            _echo(args, cfg)
             return _SUBCOMMANDS[args.command][0](args, cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

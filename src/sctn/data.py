@@ -4,15 +4,18 @@ Reads headered CSV track logs (vehicle_id, frame_id, local_x, local_y, 10 Hz,
 feet or metres), subsamples to 5 Hz, slices sliding 8-second windows
 (15 observation + 25 prediction frames), ranks neighbours by distance to the
 target at its last observed frame, and normalizes each window so that point
-sits at the origin. Each log is indexed once, so the time taken grows
-linearly with its rows. A deterministic synthetic generator provides
-desk-scale datasets without any real logs.
+sits at the origin. Each log is indexed once, as arrays: the records sorted
+by (vehicle, frame), one sorted (vehicle, frame) key and a frame-major order.
+Windowing and neighbour selection read that index with a few numpy calls per
+window, so the time taken grows linearly with the rows. A deterministic
+synthetic generator provides desk-scale datasets without any real logs.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -68,28 +71,28 @@ def parse_trajectory_csv(path, units="meters"):
         except StopIteration:
             raise DataError(f"{path}: empty file, expected a header row") from None
         header = [h.strip().lower() for h in header]
-        cols = {}
         for name in REQUIRED_COLUMNS:
             if name not in header:
                 raise DataError(f"{path}: missing required column {name!r}")
-            cols[name] = header.index(name)
+        vid_col, fid_col, x_col, y_col = (header.index(name) for name in REQUIRED_COLUMNS)
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            if not "".join(row).strip():
                 continue
             try:
-                vid = int(row[cols["vehicle_id"]])
-                fid = int(row[cols["frame_id"]])
-                x = float(row[cols["local_x"]]) * factor
-                y = float(row[cols["local_y"]]) * factor
+                vid = int(row[vid_col])
+                fid = int(row[fid_col])
+                x = float(row[x_col]) * factor
+                y = float(row[y_col]) * factor
             except (ValueError, IndexError) as exc:
                 raise DataError(f"{path}:{lineno}: unparseable row: {exc}") from None
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise DataError(f"{path}:{lineno}: non-finite coordinate")
-            if (vid, fid) in seen:
+            key = (vid, fid)
+            if key in seen:
                 raise DataError(f"{path}:{lineno}: duplicate (vehicle {vid}, frame {fid})")
-            seen.add((vid, fid))
+            seen.add(key)
             records.append(TrackRecord(vid, fid, x, y))
-    records.sort(key=lambda r: (r.vehicle_id, r.frame_id))
+    records.sort(key=attrgetter("vehicle_id", "frame_id"))
     return records
 
 
@@ -107,18 +110,51 @@ def resample(records, factor=LOG_FRAMES_PER_SECOND // FRAMES_PER_SECOND):
 
 @dataclass
 class LogIndex:
-    """One log, indexed once: vehicle id -> {frame id -> (x, y)}, and frame
-    id -> the ids of the vehicles present at that frame."""
-    tracks: dict
-    present: dict
+    """One log as arrays, one row per record, rows sorted by (vehicle,
+    frame). A vehicle's slot is its rank among the log's vehicle ids.
+
+    Rows bounds[s]:bounds[s + 1] are the frames of vehicles[s]. key is
+    slot * span + (frame - frame0), sorted, so one searchsorted finds any
+    (vehicle, frame). by_frame lists the rows in (frame, slot) order and
+    frame_sorted their frames, so the vehicles present at a frame are one
+    slice of by_frame."""
+    vehicles: np.ndarray
+    bounds: np.ndarray
+    slot: np.ndarray
+    frame: np.ndarray
+    xy: np.ndarray
+    frame0: int
+    span: int
+    key: np.ndarray
+    by_frame: np.ndarray
+    frame_sorted: np.ndarray
 
 
 def index_log(records):
-    tracks, present = {}, {}
-    for r in records:
-        tracks.setdefault(r.vehicle_id, {})[r.frame_id] = (r.x, r.y)
-        present.setdefault(r.frame_id, []).append(r.vehicle_id)
-    return LogIndex(tracks, present)
+    """Index records that hold at most one row per (vehicle, frame), in any
+    order."""
+    try:
+        vid, frame = (np.fromiter(map(attrgetter(name), records), np.int64, len(records))
+                      for name in ("vehicle_id", "frame_id"))
+    except OverflowError:
+        raise DataError("vehicle and frame ids must fit in 64-bit integers") from None
+    x, y = (np.fromiter(map(attrgetter(name), records), np.float64, len(records))
+            for name in ("x", "y"))
+    order = np.lexsort((frame, vid))
+    vid, frame, xy = vid[order], frame[order], np.stack((x[order], y[order]), axis=1)
+    first = np.ones(len(vid), dtype=bool)
+    first[1:] = vid[1:] != vid[:-1]
+    bounds = np.append(np.flatnonzero(first), len(vid))
+    slot = np.cumsum(first) - 1
+    frame0, last = (int(frame.min()), int(frame.max())) if len(frame) else (0, 0)
+    span = last - frame0 + 1
+    if (len(bounds) - 1) * span > np.iinfo(np.int64).max:
+        raise DataError(f"frame ids span {span} frames, too wide to index "
+                        f"{len(bounds) - 1} vehicles")
+    by_frame = np.argsort(frame, kind="stable")
+    return LogIndex(vehicles=vid[bounds[:-1]], bounds=bounds, slot=slot, frame=frame,
+                    xy=xy, frame0=frame0, span=span, key=slot * span + (frame - frame0),
+                    by_frame=by_frame, frame_sorted=frame[by_frame])
 
 
 def segment_windows(index, stride=5):
@@ -126,19 +162,25 @@ def segment_windows(index, stride=5):
 
     A vehicle's frame step is the smallest gap between its frames, and
     windows where the target misses any frame are dropped. Returns raw
-    window descriptors; neighbour assignment happens in select_neighbors.
+    window descriptors, ordered by (vehicle id, start frame): the vehicle,
+    its first frame and the index row of that frame. Neighbour assignment
+    happens in select_neighbors.
     """
-    windows = []
-    for vid in sorted(index.tracks):
-        frames = sorted(index.tracks[vid])
-        step = min((b - a for a, b in zip(frames, frames[1:])), default=1)
-        for start in range(0, len(frames) - WINDOW + 1, stride):
-            ids = frames[start:start + WINDOW]
-            # contiguity check: frame ids must advance uniformly
-            if any(b - a != step for a, b in zip(ids, ids[1:])):
-                continue
-            windows.append(dict(vehicle_id=vid, start_frame=ids[0], frames=ids))
-    return windows
+    frame, slot, bounds = index.frame, index.slot, index.bounds
+    per_vehicle = np.maximum(np.diff(bounds) - WINDOW + stride, 0) // stride
+    first_window = np.cumsum(per_vehicle) - per_vehicle
+    rows = (np.repeat(bounds[:-1], per_vehicle)
+            + stride * (np.arange(per_vehicle.sum()) - np.repeat(first_window, per_vehicle)))
+    gap = np.diff(frame)
+    same = slot[1:] == slot[:-1]
+    step = np.full(len(bounds) - 1, np.iinfo(np.int64).max)
+    np.minimum.at(step, slot[1:][same], gap[same])
+    # off_step[r] counts the off-step gaps before row r, so the window from
+    # row r is gap-free when the count does not change up to row r + WINDOW - 1
+    off_step = np.concatenate(([0], np.cumsum(gap != step[slot[1:]])))
+    rows = rows[off_step[rows + WINDOW - 1] == off_step[rows]]
+    return [dict(vehicle_id=v, start_frame=f, row=r) for v, f, r in
+            zip(index.vehicles[slot[rows]].tolist(), frame[rows].tolist(), rows.tolist())]
 
 
 def select_neighbors(window, index, n_channels):
@@ -150,26 +192,25 @@ def select_neighbors(window, index, n_channels):
     position, and frames before it appears take its first known one.
     Unfilled channels are zero and masked out.
     """
-    tracks = index.tracks
-    vid = window["vehicle_id"]
-    frames = window["frames"]
-    anchor_frame = frames[T_OBS - 1]
-    tx, ty = tracks[vid][anchor_frame]
-    candidates = []
-    for other in index.present[anchor_frame]:
-        if other != vid:
-            ox, oy = tracks[other][anchor_frame]
-            candidates.append((float(np.hypot(ox - tx, oy - ty)), other))
-    candidates.sort()
-    chosen = [vid] + [other for _, other in candidates[:n_channels - 1]]
-
+    start = window["row"]
+    frames = index.frame[start:start + WINDOW]
+    anchor = start + T_OBS - 1
+    lo, hi = index.frame_sorted.searchsorted((frames[T_OBS - 1], frames[T_OBS - 1] + 1))
+    present = index.by_frame[lo:hi]
+    present = present[present != anchor]
+    gap = index.xy[present] - index.xy[anchor]
+    nearest = present[np.lexsort((index.slot[present], np.hypot(gap[:, 0], gap[:, 1])))]
+    chosen = index.slot[np.concatenate(([anchor], nearest[:n_channels - 1]))]
+    keys = chosen[:, None] * index.span + (frames - index.frame0)
+    rows = np.minimum(index.key.searchsorted(keys), len(index.key) - 1)
+    hit = index.key[rows] == keys
+    # each frame takes the latest hit at or before it; column 0 takes the
+    # first hit, which the frames before that hit then hold
+    held = np.where(hit, np.arange(WINDOW), -1)
+    held[:, 0] = hit.argmax(axis=1)
+    np.maximum.accumulate(held, axis=1, out=held)
     positions = np.zeros((n_channels, WINDOW, 2))
-    for channel, v in enumerate(chosen):
-        track = tracks[v]
-        last = next(track[f] for f in frames if f in track)
-        for i, f in enumerate(frames):
-            last = track.get(f, last)
-            positions[channel, i] = last
+    positions[:len(chosen)] = index.xy[rows[np.arange(len(chosen))[:, None], held]]
     mask = np.arange(n_channels) < len(chosen)
     return Scene(positions=positions, channel_mask=mask, target_index=0)
 

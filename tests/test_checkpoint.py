@@ -275,6 +275,24 @@ class TestSegmentCache:
         with pytest.raises(DataError, match=message):
             checkpoint.load_segment_cache(path)
 
+    @pytest.mark.parametrize("split_name, replacement, message", [
+        ("train", "segments train: 99\n",
+         r"'segments train' reads '99', but \S*cache.sctn holds 4 train"),
+        ("validation", "segments validation: 0\n",
+         r"'segments validation' reads '0', but \S*cache.sctn holds 1 validation"),
+        ("test", "", r"'segments test' reads None, but \S*cache.sctn holds 1 test"),
+    ], ids=["train-wrong", "validation-wrong", "test-missing"])
+    def test_split_count_mismatch_rejected(self, tmp_path, split_name, replacement, message):
+        # the 6 segments load as 4/1/1; the manifest must say so
+        path = tmp_path / "cache.sctn"
+        checkpoint.save_segment_cache(path, self.make_split())
+        manifest = tmp_path / "cache.sctn.manifest"
+        manifest.write_text("".join(
+            replacement if line.startswith(f"segments {split_name}:") else line
+            for line in manifest.read_text().splitlines(keepends=True)))
+        with pytest.raises(DataError, match=r"cache.sctn.manifest: " + message):
+            checkpoint.load_segment_cache(path)
+
 
 class TestConfigFile:
     def test_defaults_resolve_from_profile(self):

@@ -262,6 +262,27 @@ class TestConfigEcho:
         for key in ("profile = paper", "model_dim = 512", "heads = 8", "dropout = 0.1"):
             assert key in echo
 
+    def test_no_echo_when_cache_fails_to_load(self, tmp_path, small_cfg):
+        _, ckpt = untrained_checkpoint(tmp_path, small_cfg)
+        assert run(["synth", "--config", small_cfg, "--count", 10,
+                    "--out", tmp_path / "ten"]) == 0
+        cache = tmp_path / "ten" / "segments.sctn"
+        tensors = checkpoint.load_tensors(cache)
+        del tensors["segment/00004/positions"]
+        checkpoint.save_tensors(cache, tensors)
+        out = tmp_path / "e"
+        assert run(["evaluate", "--config", small_cfg, "--data", cache,
+                    "--checkpoint", ckpt, "--out", out]) == 2
+        assert not (out / "config.txt").exists()
+
+    def test_no_echo_when_log_has_no_full_window(self, tmp_path, small_cfg):
+        csv = tmp_path / "short.csv"
+        csv.write_text("vehicle_id,frame_id,local_x,local_y\n" +
+                       "".join(f"1,{frame},{frame},0\n" for frame in range(31)))
+        out = tmp_path / "prep"
+        assert run(["prepare", "--config", small_cfg, "--data", csv, "--out", out]) == 2
+        assert not (out / "config.txt").exists()
+
 
 class TestDeterminism:
     def test_synth_is_byte_identical(self, tmp_path, small_cfg):

@@ -60,6 +60,21 @@ class TestParse:
         with pytest.raises(DataError, match="duplicate"):
             parse_trajectory_csv(path)
 
+    def test_whitespace_only_row_skipped(self, tmp_path):
+        path = write_csv(tmp_path / "a.csv", ["1,0,0,0", "  , \t,,  ", "1,1,2,3"])
+        assert [r.frame_id for r in parse_trajectory_csv(path)] == [0, 1]
+
+    def test_duplicate_reported_before_a_later_bad_row(self, tmp_path):
+        path = write_csv(tmp_path / "a.csv", ["1,0,0,0", "1,0,5,5", "2,0,0,0", "2,x,0,0"])
+        with pytest.raises(DataError, match=r":3: duplicate \(vehicle 1, frame 0\)"):
+            parse_trajectory_csv(path)
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+    def test_non_finite_coordinate_carries_line_number(self, tmp_path, value):
+        path = write_csv(tmp_path / "a.csv", ["1,0,0,0", "1,1,0,0", f"1,2,3,{value}"])
+        with pytest.raises(DataError, match=r":4: non-finite coordinate"):
+            parse_trajectory_csv(path)
+
     def test_extra_columns_ignored(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", ["1,0,2.0,3.0,junk"],
                          header="vehicle_id,frame_id,local_x,local_y,speed")
@@ -104,6 +119,15 @@ class TestSegment:
     def test_gap_dropped(self):
         recs = [r for r in self.track(40) if r.frame_id != 20]
         assert segment_windows(index_log(recs), stride=5) == []
+
+    def test_id_beyond_64_bits_is_data_error(self):
+        with pytest.raises(DataError, match="64-bit"):
+            index_log([TrackRecord(2 ** 63, 0, 0.0, 0.0)])
+
+    def test_frame_span_too_wide_to_index_is_data_error(self):
+        recs = [TrackRecord(1, 0, 0.0, 0.0), TrackRecord(2, 2 ** 62, 0.0, 0.0)]
+        with pytest.raises(DataError, match="too wide to index 2 vehicles"):
+            index_log(recs)
 
     def test_early_gap_drops_only_the_window_across_it(self):
         # a 10 Hz track without frame 2 resamples to 0, 4, 6, ...: its frame
