@@ -22,27 +22,25 @@ VERSION = 1
 
 def save_tensors(path, tensors):
     """Write an ordered {name: ndarray} mapping; payloads stored as float32."""
-    entries = []
+    arrays = [np.atleast_1d(arr) for arr in tensors.values()]  # a scalar is stored as (1,)
+    manifest = [MAGIC, struct.pack("<HI", VERSION, len(arrays))]
     offset = 0
-    payloads = []
-    for name, arr in tensors.items():
-        arr = np.ascontiguousarray(np.asarray(arr), dtype="<f4")
-        entries.append((name, arr.shape, offset))
-        payloads.append(arr.tobytes())
-        offset += arr.nbytes
+    for name, arr in zip(tensors, arrays):
+        raw = name.encode("utf-8")
+        manifest.append(struct.pack(f"<H{len(raw)}sB{arr.ndim}IQ",
+                                    len(raw), raw, arr.ndim, *arr.shape, offset))
+        offset += 4 * arr.size
+    head = b"".join(manifest)
+    # each payload is cast to float32 in place in the one buffer written, so
+    # the file's bytes are held once
+    blob = bytearray(len(head) + offset)
+    blob[:len(head)] = head
+    start = len(head)
+    for arr in arrays:
+        np.frombuffer(blob, dtype="<f4", count=arr.size, offset=start)[:] = arr.ravel()
+        start += 4 * arr.size
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<HI", VERSION, len(entries)))
-        for name, shape, off in entries:
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", len(shape)))
-            for dim in shape:
-                fh.write(struct.pack("<I", dim))
-            fh.write(struct.pack("<Q", off))
-        for blob in payloads:
-            fh.write(blob)
+        fh.write(blob)
 
 
 def load_tensors(path):

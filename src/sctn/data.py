@@ -4,18 +4,22 @@ Reads headered CSV track logs (vehicle_id, frame_id, local_x, local_y, 10 Hz,
 feet or metres), subsamples to 5 Hz, slices sliding 8-second windows
 (15 observation + 25 prediction frames), ranks neighbours by distance to the
 target at its last observed frame, and normalizes each window so that point
-sits at the origin. Each log is indexed once, as arrays: the records sorted
-by (vehicle, frame), one sorted (vehicle, frame) key and a frame-major order.
-Windowing and neighbour selection read that index with a few numpy calls per
-window, so the time taken grows linearly with the rows. A deterministic
-synthetic generator provides desk-scale datasets without any real logs.
+sits at the origin. A log is one TRACK_DTYPE array sorted by (vehicle,
+frame) from the CSV read to the index: one np.loadtxt call reads it, and a
+row-by-row reader words the errors. Each log is indexed once, as arrays:
+the records sorted by (vehicle, frame), one sorted (vehicle, frame) key and
+a frame-major order. Windowing and neighbour selection read that index with
+a few numpy calls per window, so the time taken grows linearly with the
+rows. A deterministic synthetic generator provides desk-scale datasets
+without any real logs.
 """
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -27,14 +31,14 @@ LOG_FRAMES_PER_SECOND = 10
 FRAMES_PER_SECOND = 5  # the rate of every window the model sees
 WINDOW = T_OBS + T_PRED
 REQUIRED_COLUMNS = ("vehicle_id", "frame_id", "local_x", "local_y")
-
-
-@dataclass
-class TrackRecord:
-    vehicle_id: int
-    frame_id: int
-    x: float
-    y: float
+TRACK_DTYPE = np.dtype([("vehicle_id", np.int64), ("frame_id", np.int64),
+                        ("x", np.float64), ("y", np.float64)])
+_INT64 = np.iinfo(np.int64)
+# np.loadtxt (numpy 2.4) reads the ASCII separators \x1c-\x1f as spaces
+# where int() and float() refuse them. It also reads some non-ASCII
+# characters in an integer field as digits, and can crash on others, so a
+# log that holds any of these goes to the row reader.
+_LOADTXT_MISREADS = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass
@@ -58,23 +62,50 @@ class DatasetSplit:
 
 
 def parse_trajectory_csv(path, units="meters"):
-    """Parse a track log into records sorted by (vehicle_id, frame_id)."""
+    """Parse a track log into a TRACK_DTYPE array sorted by (vehicle_id,
+    frame_id), with x and y in metres.
+
+    One np.loadtxt call reads the rows. If it refuses them, or they hold a
+    non-finite coordinate or a repeated (vehicle, frame), parse_rows reads
+    the log again and raises the error that names the line."""
     if units not in ("feet", "meters"):
         raise DataError(f"unknown units flag {units!r}")
     factor = FOOT_IN_METRES if units == "feet" else 1.0
-    records = []
-    seen = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        columns = _columns(path, csv.reader(fh))
+        body = fh.read()
+    if body.isascii() and not any(c in body for c in _LOADTXT_MISREADS):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        header = [h.strip().lower() for h in header]
-        for name in REQUIRED_COLUMNS:
-            if name not in header:
-                raise DataError(f"{path}: missing required column {name!r}")
-        vid_col, fid_col, x_col, y_col = (header.index(name) for name in REQUIRED_COLUMNS)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(io.StringIO(body, newline=""), delimiter=",",
+                                   usecols=columns, dtype=TRACK_DTYPE, comments=None,
+                                   quotechar='"', ndmin=1)
+        except ValueError:
+            pass
+        else:
+            table = table[np.lexsort((table["frame_id"], table["vehicle_id"]))]
+            table["x"] *= factor
+            table["y"] *= factor
+            vid, fid = table["vehicle_id"], table["frame_id"]
+            repeated = (vid[1:] == vid[:-1]) & (fid[1:] == fid[:-1])
+            if (np.isfinite(table["x"]).all() and np.isfinite(table["y"]).all()
+                    and not repeated.any()):
+                return table
+    return parse_rows(path, factor)
+
+
+def parse_rows(path, factor):
+    """Read a track log as parse_trajectory_csv does, one row at a time,
+    with x and y scaled by factor. It reads the logs np.loadtxt refuses and
+    words every error with its line. The first faulty row stops the read,
+    and its first fault is the one reported: unparseable, then an id beyond
+    64 bits, then non-finite, then repeated."""
+    rows = []
+    seen = set()
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        vid_col, fid_col, x_col, y_col = _columns(path, reader)
         for lineno, row in enumerate(reader, start=2):
             if not "".join(row).strip():
                 continue
@@ -85,27 +116,48 @@ def parse_trajectory_csv(path, units="meters"):
                 y = float(row[y_col]) * factor
             except (ValueError, IndexError) as exc:
                 raise DataError(f"{path}:{lineno}: unparseable row: {exc}") from None
+            if not (_INT64.min <= vid <= _INT64.max and _INT64.min <= fid <= _INT64.max):
+                raise DataError(f"{path}:{lineno}: vehicle and frame ids must fit "
+                                f"in 64-bit integers")
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise DataError(f"{path}:{lineno}: non-finite coordinate")
             key = (vid, fid)
             if key in seen:
                 raise DataError(f"{path}:{lineno}: duplicate (vehicle {vid}, frame {fid})")
             seen.add(key)
-            records.append(TrackRecord(vid, fid, x, y))
-    records.sort(key=attrgetter("vehicle_id", "frame_id"))
-    return records
+            rows.append((vid, fid, x, y))
+    rows.sort()
+    return np.array(rows, dtype=TRACK_DTYPE)
+
+
+def _columns(path, reader):
+    """Indices of REQUIRED_COLUMNS in the header, the next row of reader."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file, expected a header row") from None
+    header = [h.strip().lower() for h in header]
+    for name in REQUIRED_COLUMNS:
+        if name not in header:
+            raise DataError(f"{path}: missing required column {name!r}")
+    return tuple(header.index(name) for name in REQUIRED_COLUMNS)
+
+
+def _first_of_vehicle(vid):
+    """Mask of the rows that start each vehicle's run in a sorted id column."""
+    first = np.ones(len(vid), dtype=bool)
+    first[1:] = vid[1:] != vid[:-1]
+    return first
 
 
 def resample(records, factor=LOG_FRAMES_PER_SECOND // FRAMES_PER_SECOND):
-    """Keep every factor-th frame per vehicle, anchored at its first frame;
-    the default takes a log to FRAMES_PER_SECOND."""
-    out = []
-    first_frame = {}
-    for r in records:
-        base = first_frame.setdefault(r.vehicle_id, r.frame_id)
-        if (r.frame_id - base) % factor == 0:
-            out.append(r)
-    return out
+    """Keep every factor-th frame per vehicle of a sorted TRACK_DTYPE array,
+    anchored at its first frame; the default takes a log to
+    FRAMES_PER_SECOND."""
+    frame = records["frame_id"]
+    first = _first_of_vehicle(records["vehicle_id"])
+    base = frame[first][np.cumsum(first) - 1]
+    return records[(frame - base) % factor == 0]
 
 
 @dataclass
@@ -131,24 +183,17 @@ class LogIndex:
 
 
 def index_log(records):
-    """Index records that hold at most one row per (vehicle, frame), in any
-    order."""
-    try:
-        vid, frame = (np.fromiter(map(attrgetter(name), records), np.int64, len(records))
-                      for name in ("vehicle_id", "frame_id"))
-    except OverflowError:
-        raise DataError("vehicle and frame ids must fit in 64-bit integers") from None
-    x, y = (np.fromiter(map(attrgetter(name), records), np.float64, len(records))
-            for name in ("x", "y"))
-    order = np.lexsort((frame, vid))
-    vid, frame, xy = vid[order], frame[order], np.stack((x[order], y[order]), axis=1)
-    first = np.ones(len(vid), dtype=bool)
-    first[1:] = vid[1:] != vid[:-1]
+    """Index a TRACK_DTYPE array that holds at most one row per (vehicle,
+    frame), in any order."""
+    records = records[np.lexsort((records["frame_id"], records["vehicle_id"]))]
+    vid, frame = records["vehicle_id"], records["frame_id"]
+    xy = np.stack((records["x"], records["y"]), axis=1)
+    first = _first_of_vehicle(vid)
     bounds = np.append(np.flatnonzero(first), len(vid))
     slot = np.cumsum(first) - 1
     frame0, last = (int(frame.min()), int(frame.max())) if len(frame) else (0, 0)
     span = last - frame0 + 1
-    if (len(bounds) - 1) * span > np.iinfo(np.int64).max:
+    if (len(bounds) - 1) * span > _INT64.max:
         raise DataError(f"frame ids span {span} frames, too wide to index "
                         f"{len(bounds) - 1} vehicles")
     by_frame = np.argsort(frame, kind="stable")
@@ -173,7 +218,7 @@ def segment_windows(index, stride=5):
             + stride * (np.arange(per_vehicle.sum()) - np.repeat(first_window, per_vehicle)))
     gap = np.diff(frame)
     same = slot[1:] == slot[:-1]
-    step = np.full(len(bounds) - 1, np.iinfo(np.int64).max)
+    step = np.full(len(bounds) - 1, _INT64.max)
     np.minimum.at(step, slot[1:][same], gap[same])
     # off_step[r] counts the off-step gaps before row r, so the window from
     # row r is gap-free when the count does not change up to row r + WINDOW - 1
@@ -184,13 +229,14 @@ def segment_windows(index, stride=5):
 
 
 def select_neighbors(window, index, n_channels):
-    """Build the N-channel scene for one window.
+    """Build the normalized N-channel scene for one window.
 
-    Channel 0 is the target. Neighbours are the vehicles present at the
-    target's last observed frame, nearest first (ties broken by lower
-    vehicle id). A neighbour's missing window frames hold its last known
-    position, and frames before it appears take its first known one.
-    Unfilled channels are zero and masked out.
+    Channel 0 is the target, and its last observed point is the origin.
+    Neighbours are the vehicles present at the target's last observed
+    frame, nearest first (ties broken by lower vehicle id). A neighbour's
+    missing window frames hold its last known position, and frames before
+    it appears take its first known one. Unfilled channels are zero and
+    masked out.
     """
     start = window["row"]
     frames = index.frame[start:start + WINDOW]
@@ -212,16 +258,18 @@ def select_neighbors(window, index, n_channels):
     positions = np.zeros((n_channels, WINDOW, 2))
     positions[:len(chosen)] = index.xy[rows[np.arange(len(chosen))[:, None], held]]
     mask = np.arange(n_channels) < len(chosen)
-    return Scene(positions=positions, channel_mask=mask, target_index=0)
+    positions, origin = normalize_positions(positions, mask)
+    return Scene(positions=positions, channel_mask=mask, target_index=0, origin=origin)
 
 
-def normalize(scene):
-    """Translate so the target's last observed point is the origin."""
-    offset = scene.positions[scene.target_index, T_OBS - 1].copy()
-    positions = scene.positions - offset
-    positions[~scene.channel_mask] = 0.0
-    return Scene(positions=positions, channel_mask=scene.channel_mask.copy(),
-                 target_index=scene.target_index, origin=offset)
+def normalize_positions(positions, channel_mask):
+    """(positions, origin): N x T x 2 positions translated so the target's
+    (channel 0) last observed point is the origin, with the channels the
+    mask leaves out zero, and that point."""
+    origin = positions[0, T_OBS - 1].copy()
+    positions = positions - origin
+    positions[~channel_mask] = 0.0
+    return positions, origin
 
 
 def denormalize_points(points, origin):
@@ -234,7 +282,7 @@ def build_segments(records, n_channels, stride=5, source_file=""):
     index = index_log(records)
     samples = []
     for window in segment_windows(index, stride=stride):
-        scene = normalize(select_neighbors(window, index, n_channels))
+        scene = select_neighbors(window, index, n_channels)
         samples.append(SegmentSample(scene=scene, source_file=source_file,
                                      vehicle_id=window["vehicle_id"],
                                      start_frame=window["start_frame"]))
@@ -337,9 +385,9 @@ def synthesize_scenes(count, kind="linear", seed=0, n_agents=3, noise=0.0):
             if noise > 0:
                 track = track + rng.normal(0.0, noise, size=track.shape)
             positions[a] = track
-        scene = normalize(Scene(positions=positions,
-                                channel_mask=np.ones(n_agents, dtype=bool),
-                                target_index=0))
+        mask = np.ones(n_agents, dtype=bool)
+        positions, origin = normalize_positions(positions, mask)
+        scene = Scene(positions=positions, channel_mask=mask, target_index=0, origin=origin)
         samples.append(SegmentSample(scene=scene, source_file=f"synth:{kind}",
                                      vehicle_id=idx, start_frame=0))
     return samples

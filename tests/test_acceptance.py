@@ -336,7 +336,7 @@ class TestCriterion8PipelineConformance:
 
         records = data_mod.parse_trajectory_csv(path, units="feet")
         # 10 ft -> 3.048 m on vehicle 1's x coordinate
-        ok = records[0].x == pytest.approx(3.048, abs=1e-12)
+        ok = records["x"][0] == pytest.approx(3.048, abs=1e-12)
 
         records = data_mod.resample(records, factor=2)
         samples = data_mod.build_segments(records, n_channels=5, stride=5,

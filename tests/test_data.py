@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 
 from sctn import data as data_mod
-from sctn.data import (FOOT_IN_METRES, T_OBS, WINDOW, TrackRecord,
-                       build_segments, index_log, normalize,
-                       parse_trajectory_csv, resample, segment_windows,
-                       select_neighbors, split_dataset, synthesize_scenes)
+from sctn.data import (FOOT_IN_METRES, T_OBS, TRACK_DTYPE, WINDOW,
+                       build_segments, index_log, normalize_positions,
+                       parse_rows, parse_trajectory_csv, resample,
+                       segment_windows, select_neighbors, split_dataset,
+                       synthesize_scenes)
 from sctn.errors import DataError
-from sctn.model import Scene
 
 
 def write_csv(path, rows, header="vehicle_id,frame_id,local_x,local_y"):
     path.write_text(header + "\n" + "\n".join(rows) + ("\n" if rows else ""))
     return path
+
+
+def tracks(rows):
+    """A TRACK_DTYPE array of (vehicle_id, frame_id, x, y) rows."""
+    return np.array(list(rows), dtype=TRACK_DTYPE)
 
 
 def make_fixture(tmp_path, n_vehicles=3, n_frames=120):
@@ -28,12 +33,13 @@ class TestParse:
     def test_feet_conversion(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", ["7,100,10.0,20.0"])
         rec = parse_trajectory_csv(path, units="feet")[0]
-        assert rec.x == pytest.approx(3.048)
-        assert rec.y == pytest.approx(6.096)
+        assert rec["x"] == pytest.approx(3.048)
+        assert rec["y"] == pytest.approx(6.096)
 
     def test_empty_after_header(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", [])
-        assert parse_trajectory_csv(path) == []
+        out = parse_trajectory_csv(path)
+        assert out.dtype == TRACK_DTYPE and out.shape == (0,)
 
     def test_sorted_output(self, tmp_path):
         rows = ["2,1,0,0", "1,3,0,0", "1,1,0,0", "2,0,0,0"]
@@ -41,7 +47,7 @@ class TestParse:
         shuffled = [rows[i] for i in rng.permutation(len(rows))]
         path = write_csv(tmp_path / "a.csv", shuffled)
         recs = parse_trajectory_csv(path)
-        keys = [(r.vehicle_id, r.frame_id) for r in recs]
+        keys = list(zip(recs["vehicle_id"].tolist(), recs["frame_id"].tolist()))
         assert keys == sorted(keys)
 
     def test_missing_column_named(self, tmp_path):
@@ -62,7 +68,7 @@ class TestParse:
 
     def test_whitespace_only_row_skipped(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", ["1,0,0,0", "  , \t,,  ", "1,1,2,3"])
-        assert [r.frame_id for r in parse_trajectory_csv(path)] == [0, 1]
+        assert parse_trajectory_csv(path)["frame_id"].tolist() == [0, 1]
 
     def test_duplicate_reported_before_a_later_bad_row(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", ["1,0,0,0", "1,0,5,5", "2,0,0,0", "2,x,0,0"])
@@ -79,32 +85,109 @@ class TestParse:
         path = write_csv(tmp_path / "a.csv", ["1,0,2.0,3.0,junk"],
                          header="vehicle_id,frame_id,local_x,local_y,speed")
         rec = parse_trajectory_csv(path)[0]
-        assert (rec.x, rec.y) == (2.0, 3.0)
+        assert (rec["x"], rec["y"]) == (2.0, 3.0)
+
+    def test_id_beyond_64_bits_is_data_error(self, tmp_path):
+        path = write_csv(tmp_path / "a.csv", ["1,0,0,0", f"{2 ** 63},0,0,0"])
+        with pytest.raises(DataError, match=r":3: vehicle and frame ids must fit in 64-bit"):
+            parse_trajectory_csv(path)
+
+    def test_utf8_bom_log_reads_as_the_plain_log(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with a byte order mark
+        plain = make_fixture(tmp_path)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert np.array_equal(parse_trajectory_csv(bom), parse_trajectory_csv(plain))
+
+
+NAMED = "vehicle_id,frame_id,name,local_x,local_y"
+
+
+@pytest.mark.parametrize("header, body, reader", [
+    (None, '"7","100","10.0","20.0"\n', "loadtxt"),
+    (NAMED, '1,2,"x,7,8,y",3.5,4.5\n', "loadtxt"),
+    (NAMED, '1,2,"a\nb",3.5,4.5\n1,3,c,5,6\n', "loadtxt"),
+    (NAMED, '1,2,"a#b",3.5,4.5\n1,3,#c,5,6\n', "loadtxt"),
+    (None, "1,0,0,0\n\n\n1,1,2,3\n", "loadtxt"),
+    (None, "1,0,0,0\n  , \t,,  \n1,1,2,3\n", "rows"),
+    (None, "1,0,0,0\r\n1,1,2,3\r\n", "loadtxt"),
+    (None, "+7,0,0,0\n007,1,0,0\n", "loadtxt"),
+    (None, "1_000,0,0,0\n", "rows"),
+    (None, "1.0,0,0,0\n", "rows"),
+    (None, "1e3,0,0,0\n", "rows"),
+    (None, "\u0663,\u0661\u0662,0,0\n", "rows"),
+    (None, "4\u01fe,0,0,0\n", "rows"),
+    (None, "1,0,0,4\x1c\n", "rows"),
+    (None, "1,0,nan,0\n", "rows"),
+    (None, "1,0,0,-inf\n", "rows"),
+    (None, "1,0,1e400,0\n", "rows"),
+    (None, f"{2 ** 63},0,0,0\n", "rows"),
+    (None, f"1,{-2 ** 63 - 1},0,0\n", "rows"),
+    (None, "1,0,0,0\n1,1,0\n", "rows"),
+    (None, "1,0,2.0,3.0,junk\n", "loadtxt"),
+    (None, "1,0,0,0\n1,0,5,5\n", "rows"),
+    (None, "", "loadtxt"),
+    ("", "", "loadtxt"),
+], ids=["quoted-numbers", "quoted-commas", "quoted-newline", "hash-in-field",
+        "blank-lines", "whitespace-only-row", "crlf", "plus-and-leading-zero",
+        "underscore-id", "float-id", "exponent-id", "non-ascii-digits",
+        "non-ascii-non-digit", "file-separator", "nan", "inf", "overflow-to-inf",
+        "id-beyond-int64", "id-below-int64", "short-row", "extra-column",
+        "duplicate", "header-only", "empty-file"])
+def test_fast_read_matches_row_reader(tmp_path, monkeypatch, header, body, reader):
+    """parse_trajectory_csv gives the array or the DataError text that the
+    row reader gives, and reads with np.loadtxt alone where it can."""
+    head = "vehicle_id,frame_id,local_x,local_y" if header is None else header
+    path = tmp_path / "log.csv"
+    path.write_bytes(((head + "\n" if head else "") + body).encode("utf-8"))
+
+    def outcome(read, *args):
+        try:
+            return read(*args)
+        except DataError as exc:
+            return str(exc)
+
+    slow = outcome(parse_rows, path, FOOT_IN_METRES)
+    calls = []
+    monkeypatch.setattr(data_mod, "parse_rows",
+                        lambda *args: calls.append(args) or parse_rows(*args))
+    fast = outcome(parse_trajectory_csv, path, "feet")
+    if isinstance(slow, str):
+        assert fast == slow
+    else:
+        assert fast.dtype == TRACK_DTYPE and np.array_equal(fast, slow)
+    assert ("rows" if calls else "loadtxt") == reader
 
 
 class TestResample:
     def recs(self, frames, vid=1):
-        return [TrackRecord(vid, f, float(f), 0.0) for f in frames]
+        return tracks((vid, f, float(f), 0.0) for f in frames)
 
     def test_stride_two(self):
         out = resample(self.recs(range(10)), factor=2)
-        assert [r.frame_id for r in out] == [0, 2, 4, 6, 8]
+        assert out["frame_id"].tolist() == [0, 2, 4, 6, 8]
 
     def test_identity(self):
         recs = self.recs(range(5))
-        assert resample(recs, factor=1) == recs
+        assert np.array_equal(resample(recs, factor=1), recs)
 
     def test_count(self):
         assert len(resample(self.recs(range(80)), factor=2)) == 40
 
     def test_anchored_at_first_frame(self):
         out = resample(self.recs(range(7, 17)), factor=2)
-        assert [r.frame_id for r in out] == [7, 9, 11, 13, 15]
+        assert out["frame_id"].tolist() == [7, 9, 11, 13, 15]
+
+    def test_each_vehicle_anchored_at_its_own_first_frame(self):
+        recs = np.concatenate((self.recs(range(10), vid=1), self.recs(range(3, 13), vid=2)))
+        out = resample(recs, factor=2)
+        assert out["vehicle_id"].tolist() == [1] * 5 + [2] * 5
+        assert out["frame_id"].tolist() == [0, 2, 4, 6, 8, 3, 5, 7, 9, 11]
 
 
 class TestSegment:
     def track(self, n, vid=1):
-        return [TrackRecord(vid, f, float(f), 0.0) for f in range(n)]
+        return tracks((vid, f, float(f), 0.0) for f in range(n))
 
     def test_exactly_one_window(self):
         assert len(segment_windows(index_log(self.track(40)), stride=5)) == 1
@@ -117,22 +200,19 @@ class TestSegment:
         assert segment_windows(index_log(self.track(39)), stride=5) == []
 
     def test_gap_dropped(self):
-        recs = [r for r in self.track(40) if r.frame_id != 20]
-        assert segment_windows(index_log(recs), stride=5) == []
-
-    def test_id_beyond_64_bits_is_data_error(self):
-        with pytest.raises(DataError, match="64-bit"):
-            index_log([TrackRecord(2 ** 63, 0, 0.0, 0.0)])
+        recs = self.track(40)
+        assert segment_windows(index_log(recs[recs["frame_id"] != 20]), stride=5) == []
 
     def test_frame_span_too_wide_to_index_is_data_error(self):
-        recs = [TrackRecord(1, 0, 0.0, 0.0), TrackRecord(2, 2 ** 62, 0.0, 0.0)]
+        recs = tracks([(1, 0, 0.0, 0.0), (2, 2 ** 62, 0.0, 0.0)])
         with pytest.raises(DataError, match="too wide to index 2 vehicles"):
             index_log(recs)
 
     def test_early_gap_drops_only_the_window_across_it(self):
         # a 10 Hz track without frame 2 resamples to 0, 4, 6, ...: its frame
         # step is still 2, so every window after the gap is kept
-        recs = resample([r for r in self.track(200) if r.frame_id != 2], factor=2)
+        recs = self.track(200)
+        recs = resample(recs[recs["frame_id"] != 2], factor=2)
         wins = segment_windows(index_log(recs), stride=5)
         assert [w["start_frame"] for w in wins] == list(range(12, 113, 10))
 
@@ -140,14 +220,21 @@ class TestSegment:
 class TestSelectNeighbors:
     def build(self, offsets, n_channels):
         # target at x = 0; neighbours at given x offsets, all fully observed
-        recs = []
-        for vid, off in enumerate([0.0] + list(offsets), start=1):
-            for f in range(WINDOW):
-                recs.append(TrackRecord(vid, f, off, float(f)))
+        recs = tracks((vid, f, off, float(f))
+                      for vid, off in enumerate([0.0] + list(offsets), start=1)
+                      for f in range(WINDOW))
         index = index_log(recs)
         window = segment_windows(index, stride=WINDOW)[0]
         assert window["vehicle_id"] == 1
         return select_neighbors(window, index, n_channels)
+
+    def test_scene_is_normalized(self):
+        # the target's anchor (frame T_OBS - 1, at x = 0) is the origin
+        scene = self.build([1.0], 2)
+        assert scene.origin.tolist() == [0.0, T_OBS - 1.0]
+        np.testing.assert_array_equal(scene.positions[:, :, 1],
+                                      np.tile(np.arange(WINDOW) - (T_OBS - 1.0), (2, 1)))
+        np.testing.assert_array_equal(scene.positions[:, 0, 0], [0.0, 1.0])
 
     def test_padding(self):
         scene = self.build([1.0, 2.0], 5)
@@ -166,15 +253,14 @@ class TestSelectNeighbors:
         assert scene.positions[1, 0, 0] == 3.0
 
     def test_missing_frames_held_at_last_position(self):
-        recs = []
-        for f in range(WINDOW):
-            recs.append(TrackRecord(1, f, 0.0, float(f)))
-        for f in range(20):  # neighbour leaves after frame 19
-            recs.append(TrackRecord(2, f, 1.0, float(f)))
+        recs = tracks([(1, f, 0.0, float(f)) for f in range(WINDOW)]
+                      # neighbour leaves after frame 19
+                      + [(2, f, 1.0, float(f)) for f in range(20)])
         index = index_log(recs)
         scene = select_neighbors(segment_windows(index, stride=WINDOW)[0], index, 2)
         np.testing.assert_array_equal(
-            scene.positions[1, 19:], np.broadcast_to([1.0, 19.0], (WINDOW - 19, 2)))
+            scene.positions[1, 19:],
+            np.broadcast_to([1.0, 19.0 - (T_OBS - 1)], (WINDOW - 19, 2)))
 
 
 class TestSelectionRules:
@@ -182,11 +268,11 @@ class TestSelectionRules:
     target (vehicle 1) is at x = 0, y = frame, and the scene is normalized so
     its anchor (frame T_OBS - 1) is the origin."""
 
-    def scene(self, tracks, n_channels):
-        recs = [TrackRecord(1, f, 0.0, float(f)) for f in range(WINDOW)]
-        for vid, (x, frames) in enumerate(tracks, start=2):
-            recs += [TrackRecord(vid, f, x, float(f)) for f in frames]
-        return build_segments(recs, n_channels, stride=WINDOW)[0].scene
+    def scene(self, others, n_channels):
+        rows = [(1, f, 0.0, float(f)) for f in range(WINDOW)]
+        for vid, (x, frames) in enumerate(others, start=2):
+            rows += [(vid, f, x, float(f)) for f in frames]
+        return build_segments(tracks(rows), n_channels, stride=WINDOW)[0].scene
 
     def test_late_neighbour_backfilled_with_first_position(self):
         scene = self.scene([(1.0, range(10, WINDOW))], 2)
@@ -209,27 +295,34 @@ class TestSelectionRules:
 
 
 class TestNormalize:
-    def scene(self):
+    def positions(self):
         rng = np.random.default_rng(1)
-        return Scene(positions=rng.normal(size=(3, WINDOW, 2)) + 50.0,
-                     channel_mask=np.ones(3, dtype=bool), target_index=0)
+        return rng.normal(size=(3, WINDOW, 2)) + 50.0
+
+    def normalized(self, positions):
+        return normalize_positions(positions, np.ones(3, dtype=bool))
 
     def test_target_anchor_at_origin(self):
-        out = normalize(self.scene())
-        np.testing.assert_allclose(out.positions[0, T_OBS - 1], [0.0, 0.0])
+        out, _ = self.normalized(self.positions())
+        np.testing.assert_allclose(out[0, T_OBS - 1], [0.0, 0.0])
 
     def test_inverse_pair(self):
-        scene = self.scene()
-        out = normalize(scene)
-        restored = data_mod.denormalize_points(out.positions, out.origin)
-        np.testing.assert_allclose(restored, scene.positions, atol=1e-9)
+        positions = self.positions()
+        out, origin = self.normalized(positions)
+        restored = data_mod.denormalize_points(out, origin)
+        np.testing.assert_allclose(restored, positions, atol=1e-9)
 
     def test_relative_distances_preserved(self):
-        scene = self.scene()
-        out = normalize(scene)
-        np.testing.assert_allclose(out.positions[1] - out.positions[0],
-                                   scene.positions[1] - scene.positions[0],
+        positions = self.positions()
+        out, _ = self.normalized(positions)
+        np.testing.assert_allclose(out[1] - out[0], positions[1] - positions[0],
                                    atol=1e-9)
+
+    def test_channels_left_out_are_zero(self):
+        positions = self.positions()
+        out, origin = normalize_positions(positions, np.array([True, False, True]))
+        np.testing.assert_array_equal(out[1], 0.0)
+        np.testing.assert_array_equal(out[2], positions[2] - origin)
 
 
 class TestPipelineEndToEnd:

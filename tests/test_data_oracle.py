@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 
 from sctn import data as data_mod
-from sctn.data import T_OBS, WINDOW, TrackRecord
+from sctn.data import T_OBS, TRACK_DTYPE, WINDOW
 from sctn.model import Scene
 
 
 def oracle_index(records):
     tracks, present = {}, {}
-    for r in records:
-        tracks.setdefault(r.vehicle_id, {})[r.frame_id] = (r.x, r.y)
-        present.setdefault(r.frame_id, []).append(r.vehicle_id)
+    for vid, frame, x, y in records.tolist():
+        tracks.setdefault(vid, {})[frame] = (x, y)
+        present.setdefault(frame, []).append(vid)
     return tracks, present
 
 
@@ -57,12 +57,15 @@ def oracle_select(window, index, n_channels):
         for i, f in enumerate(frames):
             last = track.get(f, last)
             positions[channel, i] = last
+    origin = positions[0, T_OBS - 1].copy()
+    positions[:len(chosen)] -= origin
     mask = np.arange(n_channels) < len(chosen)
-    return Scene(positions=positions, channel_mask=mask, target_index=0)
+    return Scene(positions=positions, channel_mask=mask, target_index=0, origin=origin)
 
 
 def random_log(seed, n_vehicles=24, log_frames=240):
-    """Records in shuffled order. Vehicles enter and leave at random frames
+    """A TRACK_DTYPE array sorted by (vehicle, frame), as
+    parse_trajectory_csv returns. Vehicles enter and leave at random frames
     of either parity; some miss single frames, some leave for a stretch and
     come back; positions sit on a coarse integer grid, so equal distances
     at an anchor frame are common."""
@@ -80,8 +83,8 @@ def random_log(seed, n_vehicles=24, log_frames=240):
         lane = int(rng.integers(-2, 3))
         y0 = int(rng.integers(-20, 20))
         for f in frames[keep].tolist():
-            records.append(TrackRecord(vid, f, float(3 * lane), float(y0 + (f - first) // 4)))
-    return [records[i] for i in rng.permutation(len(records))]
+            records.append((vid, f, float(3 * lane), float(y0 + (f - first) // 4)))
+    return np.array(sorted(records), dtype=TRACK_DTYPE)
 
 
 SEEDS = range(12)
@@ -92,7 +95,8 @@ SEEDS = range(12)
 def test_array_index_matches_dict_oracle(seed, factor):
     records = data_mod.resample(random_log(seed), factor=factor)
     old = oracle_index(records)
-    new = data_mod.index_log(records)
+    # index_log takes its rows in any order
+    new = data_mod.index_log(records[np.random.default_rng(seed).permutation(len(records))])
     windows = data_mod.segment_windows(new)
     old_windows = oracle_windows(old)
     assert ([(w["vehicle_id"], w["start_frame"]) for w in windows]
@@ -103,6 +107,7 @@ def test_array_index_matches_dict_oracle(seed, factor):
             expected = oracle_select(old_window, old, n_channels)
             assert np.array_equal(scene.positions, expected.positions)
             assert np.array_equal(scene.channel_mask, expected.channel_mask)
+            assert np.array_equal(scene.origin, expected.origin)
 
 
 def test_random_logs_hold_the_cases_they_are_for():
@@ -126,4 +131,4 @@ def test_random_logs_hold_the_cases_they_are_for():
 
 
 def test_empty_log_has_no_windows():
-    assert data_mod.segment_windows(data_mod.index_log([])) == []
+    assert data_mod.segment_windows(data_mod.index_log(np.empty(0, TRACK_DTYPE))) == []
