@@ -4,16 +4,26 @@ Layout: magic "SCTN", format version (u16 LE), entry count (u32 LE), then per
 entry a length-prefixed name (u16 + utf-8), rank (u8), dims (u32 each) and a
 payload offset (u64, bytes from payload start); after the manifest come the
 flat little-endian float32 payloads. Seekable and diffable by manifest.
+
+A load is one read: the manifest, then the whole payload with one readinto
+into one float32 array, whose aligned views are the loaded tensors. A
+checkpoint's weights are built from those views with no random init, so a
+float32 model's parameters share that one buffer; training never writes a
+parameter in place (adam_step gives each a new array). The text files
+beside a container, its .manifest and .config, are UTF-8; a byte that is
+not is a DataError naming the file and its offset.
 """
 from __future__ import annotations
 
+import io
 import math
+import os
 import struct
 
 import numpy as np
 
 from . import config as config_mod, data as data_mod
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, read_text
 from .model import ModelConfig, ModelWeights, Scene
 
 MAGIC = b"SCTN"
@@ -44,41 +54,47 @@ def save_tensors(path, tensors):
 
 
 def load_tensors(path):
-    """Read a container back into an ordered {name: float32 ndarray} mapping."""
+    """Read a container back into an ordered {name: float32 ndarray} mapping.
+
+    The manifest is read first, then the whole payload with one readinto
+    into one float32 array; each entry is a writable, aligned view of that
+    array, and no two entries of a container save_tensors wrote share an
+    element. An offset that is not a multiple of 4 cannot be viewed and is
+    a DataError."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
-        raise DataError(f"{path}: bad magic bytes, not a tensor container")
-    try:
-        version, count = struct.unpack_from("<HI", blob, 4)
-        if version != VERSION:
-            raise DataError(f"{path}: unsupported container version {version}")
-        pos = 10
-        entries = []
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", blob, pos)
-            pos += 2
-            name = blob[pos:pos + name_len].decode("utf-8")
-            pos += name_len
-            (rank,) = struct.unpack_from("<B", blob, pos)
-            pos += 1
-            shape = struct.unpack_from(f"<{rank}I", blob, pos) if rank else ()
-            pos += 4 * rank
-            (offset,) = struct.unpack_from("<Q", blob, pos)
-            pos += 8
-            entries.append((name, shape, offset))
-    except (struct.error, UnicodeDecodeError):
-        raise DataError(f"{path}: truncated or corrupt manifest") from None
-    payload_start = pos
+        if fh.read(4) != MAGIC:
+            raise DataError(f"{path}: bad magic bytes, not a tensor container")
+        try:
+            version, count = _unpack(fh, "<HI")
+            if version != VERSION:
+                raise DataError(f"{path}: unsupported container version {version}")
+            entries = []
+            for _ in range(count):
+                (name_len,) = _unpack(fh, "<H")
+                name, rank = _unpack(fh, f"<{name_len}sB")
+                *shape, offset = _unpack(fh, f"<{rank}IQ")
+                entries.append((name.decode("utf-8"), tuple(shape), offset))
+        except (struct.error, UnicodeDecodeError):
+            raise DataError(f"{path}: truncated or corrupt manifest") from None
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        payload = np.empty(-(-size // 4), dtype="<f4")
+        if fh.readinto(memoryview(payload).cast("B")[:size]) != size:
+            raise DataError(f"{path}: file changed while it was read")
     out = {}
     for name, shape, offset in entries:
         n = math.prod(shape)  # exact: np.prod wraps past 2**63 and passes the check
-        start = payload_start + offset
-        if start + 4 * n > len(blob):
+        if offset + 4 * n > size:
             raise DataError(f"{path}: payload of {name} runs past the end of the file")
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=start)
-        out[name] = arr.reshape(shape).copy()
+        if offset % 4:
+            raise DataError(f"{path}: payload of {name} starts at byte {offset} of the "
+                            f"payload, not a multiple of 4")
+        out[name] = payload[offset // 4:offset // 4 + n].reshape(shape)
     return out
+
+
+def _unpack(fh, fmt):
+    """struct.unpack of the next bytes of fh; struct.error if it runs short."""
+    return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +125,7 @@ def save_segment_cache(path, split):
             idx += 1
     tensors["split_seed"] = np.array([float(split.seed)])
     save_tensors(path, tensors)
-    with open(str(path) + ".manifest", "w") as fh:
+    with open(str(path) + ".manifest", "w", encoding="utf-8") as fh:
         fh.write(f"segments total: {idx}\n")
         for split_name in _SPLITS:
             fh.write(f"segments {split_name}: {len(getattr(split, split_name))}\n")
@@ -124,10 +140,11 @@ def load_segment_cache(path):
     tensors = load_tensors(path)
     manifest = f"{path}.manifest"
     try:
-        with open(manifest) as fh:
-            lines = dict(line.rstrip("\n").partition(": ")[::2] for line in fh)
+        text = read_text(manifest)
     except FileNotFoundError:
         raise DataError(f"{manifest}: segment cache manifest missing") from None
+    lines = dict(line.rstrip("\n").partition(": ")[::2]
+                 for line in io.StringIO(text, newline=None))
     total = lines.get("segments total", "")
     if not total.isdigit():
         raise DataError(f"{manifest}: no 'segments total' line")
@@ -180,7 +197,7 @@ def _read_segment(tensors, prefix, lines):
 def save_model_checkpoint(path, weights):
     """Container of all learnable tensors plus a key=value config sidecar."""
     save_tensors(path, weights.state_dict())
-    with open(str(path) + ".config", "w") as fh:
+    with open(str(path) + ".config", "w", encoding="utf-8") as fh:
         fh.write(config_mod.echo({key: getattr(weights.config, key)
                                   for key in config_mod.MODEL_SCHEMA}))
 
@@ -202,10 +219,8 @@ def load_model_checkpoint(path):
         config = ModelConfig(**values)
     except ConfigError as exc:
         raise DataError(f"{sidecar}: {exc}") from None
-    weights = ModelWeights(config)
     state = load_tensors(path)
     try:
-        weights.load_state_dict(state)
+        return ModelWeights(config, state)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-    return weights

@@ -12,10 +12,11 @@ be reproduced from its artifacts.
 """
 from __future__ import annotations
 
+import io
 from dataclasses import fields
 from typing import get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, read_text
 from .model import PROFILES, T_OBS, T_PRED, ModelConfig
 
 _MODEL_TYPES = get_type_hints(ModelConfig)
@@ -61,23 +62,23 @@ def _parse_value(where, typ, text):
 
 
 def parse_config_file(path, schema=SCHEMA):
-    """Parse a key = value file with '#' comments into a plain dict.
+    """Parse a UTF-8 key = value file with '#' comments into a plain dict.
 
     Every key must be in schema, which maps it to (type, default)."""
     values = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in schema:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _parse_value(f"{path}:{lineno}: config key {key}",
-                                       schema[key][0], value)
+    text = read_text(path, ConfigError)
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in schema:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = _parse_value(f"{path}:{lineno}: config key {key}",
+                                   schema[key][0], value)
     return values
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_text
 from .model import T_OBS, T_PRED, Scene
 
 FOOT_IN_METRES = 0.3048
@@ -62,8 +62,9 @@ class DatasetSplit:
 
 
 def parse_trajectory_csv(path, units="meters"):
-    """Parse a track log into a TRACK_DTYPE array sorted by (vehicle_id,
-    frame_id), with x and y in metres.
+    """Parse a UTF-8 track log into a TRACK_DTYPE array sorted by
+    (vehicle_id, frame_id), with x and y in metres; a byte that is not
+    UTF-8 is a DataError naming its offset.
 
     One np.loadtxt call reads the rows. If it refuses them, or they hold a
     non-finite coordinate or a repeated (vehicle, frame), parse_rows reads
@@ -71,9 +72,9 @@ def parse_trajectory_csv(path, units="meters"):
     if units not in ("feet", "meters"):
         raise DataError(f"unknown units flag {units!r}")
     factor = FOOT_IN_METRES if units == "feet" else 1.0
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        columns = _columns(path, csv.reader(fh))
-        body = fh.read()
+    fh = io.StringIO(_read_log(path), newline="")
+    columns = _columns(path, csv.reader(fh))
+    body = fh.read()
     if body.isascii() and not any(c in body for c in _LOADTXT_MISREADS):
         try:
             with warnings.catch_warnings():
@@ -98,36 +99,42 @@ def parse_trajectory_csv(path, units="meters"):
 def parse_rows(path, factor):
     """Read a track log as parse_trajectory_csv does, one row at a time,
     with x and y scaled by factor. It reads the logs np.loadtxt refuses and
-    words every error with its line. The first faulty row stops the read,
-    and its first fault is the one reported: unparseable, then an id beyond
-    64 bits, then non-finite, then repeated."""
+    words every error with the physical line its row ends on, which a quoted
+    newline in an earlier row does not shift. The first faulty row stops the
+    read, and its first fault is the one reported: unparseable, then an id
+    beyond 64 bits, then non-finite, then repeated."""
     rows = []
     seen = set()
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        vid_col, fid_col, x_col, y_col = _columns(path, reader)
-        for lineno, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
-            try:
-                vid = int(row[vid_col])
-                fid = int(row[fid_col])
-                x = float(row[x_col]) * factor
-                y = float(row[y_col]) * factor
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}:{lineno}: unparseable row: {exc}") from None
-            if not (_INT64.min <= vid <= _INT64.max and _INT64.min <= fid <= _INT64.max):
-                raise DataError(f"{path}:{lineno}: vehicle and frame ids must fit "
-                                f"in 64-bit integers")
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise DataError(f"{path}:{lineno}: non-finite coordinate")
-            key = (vid, fid)
-            if key in seen:
-                raise DataError(f"{path}:{lineno}: duplicate (vehicle {vid}, frame {fid})")
-            seen.add(key)
-            rows.append((vid, fid, x, y))
+    reader = csv.reader(io.StringIO(_read_log(path), newline=""))
+    vid_col, fid_col, x_col, y_col = _columns(path, reader)
+    for row in reader:
+        if not "".join(row).strip():
+            continue
+        lineno = reader.line_num
+        try:
+            vid = int(row[vid_col])
+            fid = int(row[fid_col])
+            x = float(row[x_col]) * factor
+            y = float(row[y_col]) * factor
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"{path}:{lineno}: unparseable row: {exc}") from None
+        if not (_INT64.min <= vid <= _INT64.max and _INT64.min <= fid <= _INT64.max):
+            raise DataError(f"{path}:{lineno}: vehicle and frame ids must fit "
+                            f"in 64-bit integers")
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DataError(f"{path}:{lineno}: non-finite coordinate")
+        key = (vid, fid)
+        if key in seen:
+            raise DataError(f"{path}:{lineno}: duplicate (vehicle {vid}, frame {fid})")
+        seen.add(key)
+        rows.append((vid, fid, x, y))
     rows.sort()
     return np.array(rows, dtype=TRACK_DTYPE)
+
+
+def _read_log(path):
+    """The text of a UTF-8 log, without a leading byte order mark."""
+    return read_text(path).removeprefix("\ufeff")
 
 
 def _columns(path, reader):

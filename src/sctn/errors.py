@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and read_text, which
+words a text file that is not UTF-8 as one of them.
 
 The CLI maps these onto exit codes: UsageError -> 1, DataError -> 2,
 NumericError -> 3.
@@ -23,3 +24,15 @@ class DataError(Exception):
 
 class NumericError(Exception):
     """Non-finite values encountered where finite numbers are required."""
+
+
+def read_text(path, error=DataError):
+    """The text of a UTF-8 file. A file that is not UTF-8 raises error,
+    which names the file and the byte offset of its first bad byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: byte {raw[exc.start]:#04x} at offset "
+                    f"{exc.start} ({exc.reason})") from None

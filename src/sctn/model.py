@@ -18,6 +18,7 @@ encoder's too, is one ``blocks.multi_head_attention`` call.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,44 +124,70 @@ class Scene:
 
 
 class ModelWeights:
-    """Named registry of every learnable tensor, in deterministic order."""
+    """Named registry of every learnable tensor, in deterministic order.
 
-    def __init__(self, config):
+    ModelWeights(config) draws a seeded random init. ModelWeights(config,
+    state) takes every tensor from state, a {name: array} mapping such as
+    load_tensors returns, and draws nothing; an array already of the
+    config's dtype is kept, not copied. Either way _build names, shapes and
+    orders the tensors."""
+
+    def __init__(self, config, state=None):
         self.config = config
         self.registry = {}
         self.table = embedding.positional_encoding(
             np.arange(config.t_obs + config.t_pred), config.model_dim).astype(config.np_dtype)
-        self._rng = np.random.default_rng(config.seed)
+        self._state = state
+        self._rng = np.random.default_rng(config.seed) if state is None else None
         self._build()
+        self._state = None
 
-    def _register(self, name, data):
+    def _register(self, name, shape, init):
+        """Register parameter name of the given shape: from the state, or
+        else init(), called only then, gives its initial values."""
         if name in self.registry:
             raise UsageError(f"duplicate parameter name {name}")
-        t = Tensor(data.astype(self.config.np_dtype), requires_grad=True)
+        if self._state is None:
+            data = np.asarray(init(), dtype=self.config.np_dtype)
+        else:
+            data = self._state_entry(self._state, name, shape)
+        t = Tensor(data, requires_grad=True)
         self.registry[name] = t
         return t
 
+    def _state_entry(self, state, name, shape):
+        """state[name] in the config's dtype, checked to have shape."""
+        if name not in state:
+            raise DataError(f"checkpoint is missing parameter {name}")
+        arr = np.asarray(state[name], dtype=self.config.np_dtype)
+        if arr.shape != shape:
+            raise DataError(f"parameter {name} shape {arr.shape} != expected {shape}")
+        return arr
+
     def _param(self, name, shape, fan_in=None):
         if fan_in is None:
-            return self._register(name, np.zeros(shape))
+            return self._register(name, shape, lambda: np.zeros(shape))
         bound = 1.0 / np.sqrt(fan_in)
-        return self._register(name, self._rng.uniform(-bound, bound, size=shape))
+        return self._register(name, shape,
+                              lambda: self._rng.uniform(-bound, bound, size=shape))
 
     def _norm(self, prefix):
-        d = self.config.model_dim
-        return (self._register(f"{prefix}/gain", np.ones(d)),
-                self._register(f"{prefix}/bias", np.zeros(d)))
+        shape = (self.config.model_dim,)
+        return (self._register(f"{prefix}/gain", shape, lambda: np.ones(shape)),
+                self._register(f"{prefix}/bias", shape, lambda: np.zeros(shape)))
 
     def _mha(self, prefix):
         cfg = self.config
         d, h = cfg.model_dim, cfg.heads
         bound = 1.0 / np.sqrt(d)
         # drawn per head, q then k then v, each head's D x d_k block becoming
-        # its column block of the D x D projection
-        draws = self._rng.uniform(-bound, bound, size=(h, 3, d, d // h))
-        w_q, w_k, w_v = (self._register(f"{prefix}/{name}",
-                                        draws[:, j].transpose(1, 0, 2).reshape(d, d))
-                         for j, name in enumerate(("wq", "wk", "wv")))
+        # its column block of the D x D projection; wq's init makes the one draw
+        draws = functools.cache(
+            lambda: self._rng.uniform(-bound, bound, size=(h, 3, d, d // h)))
+        w_q, w_k, w_v = (self._register(
+            f"{prefix}/{name}", (d, d),
+            lambda j=j: draws()[:, j].transpose(1, 0, 2).reshape(d, d))
+            for j, name in enumerate(("wq", "wk", "wv")))
         return MultiHeadWeights(w_q, w_k, w_v,
                                 self._param(f"{prefix}/wo", (d, d), fan_in=d), heads=h)
 
@@ -222,13 +249,7 @@ class ModelWeights:
 
     def load_state_dict(self, state):
         for name, t in self.registry.items():
-            if name not in state:
-                raise DataError(f"checkpoint is missing parameter {name}")
-            arr = np.asarray(state[name], dtype=self.config.np_dtype)
-            if arr.shape != t.data.shape:
-                raise DataError(
-                    f"parameter {name} shape {arr.shape} != expected {t.data.shape}")
-            t.data = arr
+            t.data = self._state_entry(state, name, t.data.shape)
             t.zero_grad()
 
 

@@ -60,7 +60,9 @@ def adam_step(params, state):
     m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
     p - lr m_hat / (sqrt(v_hat) + eps), so each result is bit-identical to it.
     Each parameter gets a new array and never has its old one written, which
-    may belong to the caller (load_state_dict keeps the arrays it is given).
+    may belong to the caller: load_state_dict keeps the arrays it is given,
+    and the parameters of a loaded checkpoint are views of the one buffer
+    that load_tensors read its payload into.
 
     Each updated parameter is checked once: NumericError names the step when
     its squared norm is not finite in its dtype. That holds for every NaN or

@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -75,6 +76,40 @@ class TestTensorContainer:
         with pytest.raises(DataError, match="payload of layer/w runs past the end"):
             checkpoint.load_tensors(path)
 
+    def test_entries_are_aligned_writable_and_independent(self, tmp_path):
+        # odd name lengths put the payload at an odd byte of the file
+        rng = np.random.default_rng(1)
+        tensors = {"a": rng.normal(size=(3,)), "bcd": rng.normal(size=(2, 5)),
+                   "e": rng.normal(size=(1,)), "fg": rng.normal(size=(4, 1, 3))}
+        path = tmp_path / "t.sctn"
+        checkpoint.save_tensors(path, tensors)
+        loaded = checkpoint.load_tensors(path)
+        for name, arr in loaded.items():
+            assert arr.flags.aligned and arr.flags.writeable, name
+        for name in loaded:
+            loaded[name][...] = -1.0
+            for other, arr in loaded.items():
+                if other != name:
+                    np.testing.assert_array_equal(
+                        arr, tensors[other].astype(np.float32), err_msg=other)
+            loaded[name][...] = tensors[name]
+
+    @pytest.mark.parametrize("offset, message", [
+        (5, "payload of b starts at byte 5 of the payload, not a multiple of 4"),
+        (12, "payload of b runs past the end of the file"),
+        (2**63, "payload of b runs past the end of the file"),
+    ], ids=["odd", "past-end", "far-past-end"])
+    def test_bad_entry_offset_rejected(self, tmp_path, offset, message):
+        path = tmp_path / "t.sctn"
+        checkpoint.save_tensors(path, {"a": np.ones(2, np.float32),
+                                       "b": np.ones(2, np.float32)})
+        blob = bytearray(path.read_bytes())
+        # b's offset is the manifest's last field, just before the 16 payload bytes
+        struct.pack_into("<Q", blob, len(blob) - 16 - 8, offset)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            checkpoint.load_tensors(path)
+
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "t.sctn"
         checkpoint.save_tensors(path, {"x": np.zeros(1, dtype=np.float32)})
@@ -99,6 +134,49 @@ class TestModelCheckpoint:
         for name in state_a:
             np.testing.assert_array_equal(state_a[name].astype(np.float32),
                                           state_b[name])
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_loads_the_saved_weights_bit_for_bit(self, tmp_path, dtype):
+        cfg = ModelConfig(**{**TOY_DIMS, "dtype": dtype})
+        weights = ModelWeights(cfg)
+        path = tmp_path / "model.sctn"
+        checkpoint.save_model_checkpoint(path, weights)
+        loaded = checkpoint.load_model_checkpoint(path)
+        assert list(loaded.registry) == list(weights.registry)
+        for name, t in loaded.registry.items():
+            # the container stores float32, which a float64 model widens back
+            saved = weights.registry[name].data.astype(np.float32).astype(cfg.np_dtype)
+            assert t.data.dtype == cfg.np_dtype and t.data.shape == saved.shape
+            assert t.data.tobytes() == saved.tobytes(), name
+
+    def test_load_draws_no_random_init(self, tmp_path, monkeypatch):
+        cfg = ModelConfig(**TOY_DIMS)
+        path = tmp_path / "model.sctn"
+        checkpoint.save_model_checkpoint(path, ModelWeights(cfg))
+
+        class NoDraws(np.random.Generator):
+            def uniform(self, *args, **kwargs):
+                raise AssertionError("a checkpoint load drew a random init")
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: NoDraws(np.random.PCG64(seed)))
+        loaded = checkpoint.load_model_checkpoint(path)
+        assert loaded.config == cfg
+        with pytest.raises(AssertionError, match="drew a random init"):
+            ModelWeights(cfg)
+
+    def test_load_holds_the_payload_about_once(self, tmp_path):
+        weights = ModelWeights(ModelConfig(n_agents=4, model_dim=128, heads=4))
+        path = tmp_path / "model.sctn"
+        checkpoint.save_model_checkpoint(path, weights)
+        payload = sum(4 * t.data.size for t in weights.parameters())
+        tracemalloc.start()
+        try:
+            checkpoint.load_model_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * payload, f"peak {peak / payload:.2f}x the payload"
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         cfg = ModelConfig(dtype="float32", **{k: v for k, v in TOY_DIMS.items()

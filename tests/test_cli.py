@@ -337,6 +337,28 @@ class TestExitCodes:
                     "--segment", "99", "--out", tmp_path / "p"]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, code", [
+        ("manifest", 2), ("sidecar", 2), ("config", 1), ("log", 2)])
+    def test_file_that_is_not_utf8_names_its_offset(self, tmp_path, small_cfg, capsys,
+                                                    kind, code):
+        # a 0xff byte before each file's final newline
+        cache, ckpt = untrained_checkpoint(tmp_path, small_cfg)
+        log = tmp_path / "log.csv"
+        log.write_text("vehicle_id,frame_id,local_x,local_y\n1,0,0,0\n1,1,0,0\n")
+        bad = {"manifest": Path(f"{cache}.manifest"), "sidecar": Path(f"{ckpt}.config"),
+               "config": small_cfg, "log": log}[kind]
+        blob = bytearray(bad.read_bytes())
+        at = len(blob) - 2
+        blob[at] = 0xff
+        bad.write_bytes(bytes(blob))
+        argv = (["prepare", "--data", log] if kind == "log" else
+                ["evaluate", "--data", cache, "--checkpoint", ckpt])
+        assert run([*argv, "--config", small_cfg, "--out", tmp_path / "o"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:" if code == 1 else "data error:")
+        assert err.rstrip().endswith(
+            f"{bad}: not UTF-8 text: byte 0xff at offset {at} (invalid start byte)")
+
     def test_malformed_csv_is_data_error(self, tmp_path, small_cfg, capsys):
         csv = tmp_path / "bad.csv"
         csv.write_text("vehicle_id,frame_id,local_x,local_y\n1,1,oops,3\n")

@@ -61,6 +61,22 @@ class TestParse:
         with pytest.raises(DataError, match=r":3:"):
             parse_trajectory_csv(path)
 
+    def test_bad_row_after_a_quoted_newline_carries_its_physical_line(self, tmp_path):
+        # line 2's quoted field runs onto line 3, so the bad row is on line 5
+        path = write_csv(tmp_path / "a.csv", ['1,0,"a\nb",0,0', "1,1,c,0,0", "1,x,c,0,0"],
+                         header="vehicle_id,frame_id,name,local_x,local_y")
+        with pytest.raises(DataError, match=r"a\.csv:5: unparseable row"):
+            parse_trajectory_csv(path)
+
+    def test_log_that_is_not_utf8_names_the_byte_offset(self, tmp_path):
+        # a Latin-1 export; the offset counts the byte order mark too
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"\xef\xbb\xbfvehicle_id,frame_id,local_x,local_y\n"
+                         b"1,0,0,0\n1,1,0,0\xff\n")
+        with pytest.raises(DataError, match=r"a\.csv: not UTF-8 text: byte 0xff at "
+                                            r"offset 54 \(invalid start byte\)"):
+            parse_trajectory_csv(path)
+
     def test_duplicate_detected(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", ["1,0,0,0", "1,0,5,5"])
         with pytest.raises(DataError, match="duplicate"):
