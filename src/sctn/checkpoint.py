@@ -105,28 +105,32 @@ _SPLITS = ("train", "validation", "test")  # a segment's split code is its index
 
 
 def save_segment_cache(path, split):
-    """Serialize a DatasetSplit; a text manifest goes to path + '.manifest'."""
-    tensors = {}
-    files = []
-    idx = 0
-    for code, split_name in enumerate(_SPLITS):
-        for sample in getattr(split, split_name):
-            scene = sample.scene
-            if sample.source_file not in files:
-                files.append(sample.source_file)
-            meta = np.array([
-                scene.target_index, sample.vehicle_id, sample.start_frame,
-                scene.origin[0], scene.origin[1],
-                code, files.index(sample.source_file),
-            ])
-            tensors[f"segment/{idx:05d}/positions"] = scene.positions
-            tensors[f"segment/{idx:05d}/mask"] = scene.channel_mask.astype(np.float32)
-            tensors[f"segment/{idx:05d}/meta"] = meta
-            idx += 1
-    tensors["split_seed"] = np.array([float(split.seed)])
-    save_tensors(path, tensors)
+    """Serialize a DatasetSplit as four entries, one row per segment, train
+    then validation then test: positions (S x N x T x 2), mask (S x N), meta
+    (S x 7: target index, vehicle id, start frame, origin x and y, split
+    code, source index) and split_seed, with a text manifest at path +
+    '.manifest'. An empty or mixed-shape split is a DataError, writing nothing."""
+    samples = split.all_samples()
+    if not samples:
+        raise DataError(f"{path}: segment cache holds no segments")
+    first = samples[0].scene.positions.shape
+    for i, sample in enumerate(samples):
+        shape = sample.scene.positions.shape
+        if shape != first:
+            k = 0 if shape[0] != first[0] else 1
+            raise DataError(f"segment {i} ({sample.source_file}, vehicle {sample.vehicle_id}, "
+                            f"start {sample.start_frame}) has {shape[k]} "
+                            f"{('agent channels', 'frames')[k]}, segment 0 has {first[k]}")
+    files = list(dict.fromkeys(sample.source_file for sample in samples))
+    meta = np.array([(sample.scene.target_index, sample.vehicle_id, sample.start_frame,
+                      *sample.scene.origin, code, files.index(sample.source_file))
+                     for code, name in enumerate(_SPLITS) for sample in getattr(split, name)])
+    save_tensors(path, {
+        "positions": np.stack([s.scene.positions for s in samples], dtype=np.float32),
+        "mask": np.stack([s.scene.channel_mask for s in samples], dtype=np.float32),
+        "meta": meta, "split_seed": np.array([float(split.seed)])})
     with open(str(path) + ".manifest", "w", encoding="utf-8") as fh:
-        fh.write(f"segments total: {idx}\n")
+        fh.write(f"segments total: {len(samples)}\n")
         for split_name in _SPLITS:
             fh.write(f"segments {split_name}: {len(getattr(split, split_name))}\n")
         for i, name in enumerate(files):
@@ -134,9 +138,10 @@ def save_segment_cache(path, split):
 
 
 def load_segment_cache(path):
-    """Rebuild the DatasetSplit stored by save_segment_cache: its split seed
-    and the segments its manifest counts, each with its source line. The
-    manifest's count for each split must match the segments loaded."""
+    """Rebuild the DatasetSplit stored by save_segment_cache. The stacked
+    entries must agree in shape with each other and with the manifest's
+    total, and its count for each split with the segments loaded; a fault
+    in one row is a DataError naming its segment."""
     tensors = load_tensors(path)
     manifest = f"{path}.manifest"
     try:
@@ -148,18 +153,26 @@ def load_segment_cache(path):
     total = lines.get("segments total", "")
     if not total.isdigit():
         raise DataError(f"{manifest}: no 'segments total' line")
-    if "split_seed" not in tensors:
-        raise DataError(f"{path}: no entry 'split_seed'")
+    for name in ("positions", "mask", "meta", "split_seed"):
+        if name not in tensors:
+            raise DataError(f"{path}: no entry '{name}'")
     if int(total) == 0:
         raise DataError(f"{path}: segment cache holds no segments")
+    shape = tensors["positions"].shape
+    n, t = shape[1:3] if len(shape) == 4 else ("N", "T")
+    for name, want in (("positions", (int(total), n, t, 2)), ("mask", (int(total), n)),
+                       ("meta", (int(total), 7))):
+        if tensors[name].shape != want:
+            raise DataError(f"{path}: entry '{name}' has shape {tensors[name].shape}, not "
+                            f"{' x '.join(map(str, want))} as 'segments total: {total}' implies")
+    # one cast for the whole cache; each Scene keeps a view of its row
+    positions, mask = tensors["positions"].astype(np.float64), tensors["mask"].astype(bool)
     split = data_mod.DatasetSplit(seed=int(tensors["split_seed"][0]))
-    for idx in range(int(total)):
+    for i, row in enumerate(tensors["meta"].tolist()):
         try:
-            split_name, sample = _read_segment(tensors, f"segment/{idx:05d}", lines)
-        except KeyError as exc:
-            raise DataError(f"{path}: segment {idx}: no entry {exc}") from None
+            split_name, sample = _read_segment(positions[i], mask[i], row, lines)
         except DataError as exc:
-            raise DataError(f"{path}: segment {idx}: {exc}") from None
+            raise DataError(f"{path}: segment {i}: {exc}") from None
         getattr(split, split_name).append(sample)
     for split_name in _SPLITS:
         stated = lines.get(f"segments {split_name}")
@@ -170,24 +183,22 @@ def load_segment_cache(path):
     return split
 
 
-def _read_segment(tensors, prefix, lines):
-    """(split name, SegmentSample) of one cached segment, checked for shape;
-    lines maps each manifest key, such as 'source i', to its value."""
-    positions, mask, meta = (tensors[f"{prefix}/{entry}"]
-                             for entry in ("positions", "mask", "meta"))
-    if meta.shape != (7,) or not np.isfinite(meta).all():
-        raise DataError(f"meta must hold 7 finite entries, got {meta.tolist()}")
-    if meta[5] not in (0, 1, 2):
-        raise DataError(f"split code {meta[5]:g} is not 0, 1 or 2")
-    source = f"source {int(meta[6])}"
+def _read_segment(positions, mask, meta, lines):
+    """(split name, SegmentSample) of one cached row; lines maps each
+    manifest key, such as 'source i', to its value."""
+    if not all(map(math.isfinite, meta)):
+        raise DataError(f"meta holds non-finite entries {meta}")
+    target, vehicle, start, origin_x, origin_y, code, source = meta
+    if code not in (0, 1, 2):
+        raise DataError(f"split code {code:g} is not 0, 1 or 2")
+    source = f"source {int(source)}"
     if source not in lines:
         raise DataError(f"no '{source}:' line in the manifest")
-    scene = Scene(positions=positions, channel_mask=mask.astype(bool),
-                  target_index=int(meta[0]), origin=meta[3:5].astype(np.float64))
-    sample = data_mod.SegmentSample(
-        scene=scene, source_file=lines[source],
-        vehicle_id=int(meta[1]), start_frame=int(meta[2]))
-    return _SPLITS[int(meta[5])], sample
+    scene = Scene(positions=positions, channel_mask=mask, target_index=int(target),
+                  origin=np.array([origin_x, origin_y]))
+    sample = data_mod.SegmentSample(scene=scene, source_file=lines[source],
+                                    vehicle_id=int(vehicle), start_frame=int(start))
+    return _SPLITS[int(code)], sample
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +207,9 @@ def _read_segment(tensors, prefix, lines):
 
 def save_model_checkpoint(path, weights):
     """Container of all learnable tensors plus a key=value config sidecar."""
-    save_tensors(path, weights.state_dict())
+    # the live arrays, which save_tensors casts into the one buffer it
+    # writes; state_dict() would copy each first and double the peak
+    save_tensors(path, {name: t.data for name, t in weights.registry.items()})
     with open(str(path) + ".config", "w", encoding="utf-8") as fh:
         fh.write(config_mod.echo({key: getattr(weights.config, key)
                                   for key in config_mod.MODEL_SCHEMA}))

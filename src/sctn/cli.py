@@ -93,18 +93,6 @@ def _cmd_prepare(args, cfg):
     return 0
 
 
-def _infer_n_agents(split):
-    samples = split.all_samples()
-    n_agents = samples[0].scene.n_agents
-    for i, sample in enumerate(samples):
-        if sample.scene.n_agents != n_agents:
-            raise DataError(
-                f"segment {i} ({sample.source_file}, vehicle {sample.vehicle_id}, "
-                f"start {sample.start_frame}) has {sample.scene.n_agents} agent "
-                f"channels, segment 0 has {n_agents}")
-    return n_agents
-
-
 def _echo(args, cfg):
     """Write config.txt; each command calls it once its inputs have loaded."""
     (args.out / "config.txt").write_text(config_mod.echo(cfg))
@@ -122,7 +110,7 @@ def _echo_model(args, cfg, mcfg):
 
 def _cmd_train(args, cfg):
     split = checkpoint.load_segment_cache(args.data)
-    cfg["n_agents"] = _infer_n_agents(split)
+    cfg["n_agents"] = split.all_samples()[0].scene.n_agents
     _echo(args, cfg)
     mcfg = config_mod.model_config_from(cfg)
     weights = model.ModelWeights(mcfg)
@@ -154,9 +142,9 @@ def _held_out(split, path):
 
 def _load_checkpoint_for(split, args):
     """The model of --checkpoint, which must have as many agent channels as
-    the segments of split (from --data)."""
+    the segments of split (from --data), which all have the same count."""
     weights = checkpoint.load_model_checkpoint(args.checkpoint)
-    n_agents = _infer_n_agents(split)
+    n_agents = split.all_samples()[0].scene.n_agents
     if n_agents != weights.config.n_agents:
         raise DataError(f"{args.data} has {n_agents} agent channels, but the checkpoint "
                         f"{args.checkpoint} has n_agents = {weights.config.n_agents}")

@@ -336,10 +336,8 @@ def retarget_neighbors(sample, n_channels):
              if i != target and scene.channel_mask[i]]
     chosen = [target] + order[:n_channels - 1]
     positions = np.zeros((n_channels, scene.positions.shape[1], 2))
-    mask = np.zeros(n_channels, dtype=bool)
-    for c, src in enumerate(chosen):
-        positions[c] = scene.positions[src]
-        mask[c] = True
+    positions[:len(chosen)] = scene.positions[chosen]
+    mask = np.arange(n_channels) < len(chosen)
     new_scene = Scene(positions=positions, channel_mask=mask, target_index=0,
                       origin=scene.origin.copy())
     return SegmentSample(scene=new_scene, source_file=sample.source_file,

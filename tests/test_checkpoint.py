@@ -22,6 +22,13 @@ def overflow_dims(path, name):
     path.write_bytes(bytes(blob))
 
 
+def _with(array, index, value):
+    """A copy of array with array[index] = value."""
+    out = array.copy()
+    out[index] = value
+    return out
+
+
 class TestTensorContainer:
     def test_round_trip_values_and_order(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -178,6 +185,18 @@ class TestModelCheckpoint:
             tracemalloc.stop()
         assert peak <= 1.25 * payload, f"peak {peak / payload:.2f}x the payload"
 
+    def test_save_holds_the_payload_about_once(self, tmp_path):
+        cfg = ModelConfig(n_agents=4, model_dim=128, heads=4, dtype="float32")
+        weights = ModelWeights(cfg)
+        payload = sum(4 * t.data.size for t in weights.parameters())
+        tracemalloc.start()
+        try:
+            checkpoint.save_model_checkpoint(tmp_path / "model.sctn", weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * payload, f"peak {peak / payload:.2f}x the payload"
+
     def test_loaded_model_predicts_identically(self, tmp_path):
         cfg = ModelConfig(dtype="float32", **{k: v for k, v in TOY_DIMS.items()
                                               if k != "dtype"})
@@ -293,33 +312,99 @@ class TestSegmentCache:
             assert f"segments {name}: {len(getattr(split, name))}" in text
 
     @pytest.mark.parametrize("entry, corrupt, message", [
-        ("meta", lambda m: np.concatenate([m[:5], [7.0], m[6:]]), "split code 7 "),
-        ("mask", None, "no entry 'segment/00001/mask'"),
-        ("meta", None, "no entry 'segment/00001/meta'"),
-        ("positions", None, "no entry 'segment/00001/positions'"),
-        ("meta", lambda m: np.concatenate([[99.0], m[1:]]), "target channel 99 must be"),
-        ("mask", lambda m: m[:-1], r"positions of shape \(3, 40, 2\) and mask of shape \(2,\)"),
-        ("positions", lambda p: p[..., :1], r"positions of shape \(3, 40, 1\)"),
-        ("meta", lambda m: m[:6], "meta must hold 7"),
+        ("meta", lambda m: _with(m, (1, 5), 7.0), "segment 1: split code 7 "),
+        ("mask", None, "no entry 'mask'"),
+        ("meta", None, "no entry 'meta'"),
+        ("positions", None, "no entry 'positions'"),
+        ("meta", lambda m: _with(m, (1, 0), 99.0), "segment 1: target channel 99 must be"),
+        ("mask", lambda m: m[:, :-1],
+         r"entry 'mask' has shape \(6, 2\), not 6 x 3 as 'segments total: 6' implies"),
+        ("positions", lambda p: p[..., :1], r"entry 'positions' has shape \(6, 3, 40, 1\)"),
+        ("meta", lambda m: m[:, :6], r"entry 'meta' has shape \(6, 6\), not 6 x 7"),
     ], ids=["split-code", "no-mask", "no-meta", "no-positions", "target-index",
             "mask-length", "positions-shape", "meta-length"])
     def test_corrupt_segment_names_it(self, tmp_path, entry, corrupt, message):
         path = tmp_path / "cache.sctn"
         checkpoint.save_segment_cache(path, self.make_split())
         tensors = checkpoint.load_tensors(path)
-        key = f"segment/00001/{entry}"
         if corrupt is None:
-            del tensors[key]
+            del tensors[entry]
         else:
-            tensors[key] = corrupt(tensors[key])
+            tensors[entry] = corrupt(tensors[entry])
         checkpoint.save_tensors(path, tensors)
-        with pytest.raises(DataError, match=f"cache.sctn: segment 1: {message}"):
+        with pytest.raises(DataError, match=f"cache.sctn: {message}"):
+            checkpoint.load_segment_cache(path)
+
+    @pytest.mark.parametrize("entry, index, value, message", [
+        ("positions", (2, 1, 5, 0), np.nan, "positions hold non-finite"),
+        ("meta", (2, 3), np.inf, "meta holds non-finite entries"),
+        ("meta", (2, 6), 3.0, "no 'source 3:' line in the manifest"),
+        ("mask", (2, 0), 0.0, "target channel 0 must be a real agent"),
+    ], ids=["positions-nan", "meta-inf", "source", "target-padded"])
+    def test_one_bad_row_names_its_segment(self, tmp_path, entry, index, value, message):
+        path = tmp_path / "cache.sctn"
+        checkpoint.save_segment_cache(path, self.make_split())
+        tensors = checkpoint.load_tensors(path)
+        tensors[entry][index] = value
+        checkpoint.save_tensors(path, tensors)
+        with pytest.raises(DataError, match=f"cache.sctn: segment 2: {message}"):
             checkpoint.load_segment_cache(path)
 
     def test_empty_cache_rejected(self, tmp_path):
         path = tmp_path / "cache.sctn"
-        checkpoint.save_segment_cache(path, data_mod.DatasetSplit())
-        with pytest.raises(DataError, match="no segments"):
+        with pytest.raises(DataError, match="cache.sctn: segment cache holds no segments"):
+            checkpoint.save_segment_cache(path, data_mod.DatasetSplit())
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("count", [1, 6, 69])
+    def test_four_entries_whatever_the_segment_count(self, tmp_path, count):
+        samples = data_mod.synthesize_scenes(count, "linear", seed=2)
+        path = tmp_path / "cache.sctn"
+        checkpoint.save_segment_cache(path, data_mod.split_dataset(samples, seed=1))
+        tensors = checkpoint.load_tensors(path)
+        assert list(tensors) == ["positions", "mask", "meta", "split_seed"]
+        assert tensors["positions"].shape == (count, 3, 40, 2)
+        assert tensors["mask"].shape == (count, 3)
+        assert tensors["meta"].shape == (count, 7)
+        assert len(checkpoint.load_segment_cache(path).all_samples()) == count
+
+    def test_two_sources_round_trip_membership_and_order(self, tmp_path):
+        a = data_mod.synthesize_scenes(5, "turn", seed=3, n_agents=4)
+        b = data_mod.synthesize_scenes(4, "interaction", seed=4, n_agents=4)
+        for i, sample in enumerate(a + b):
+            sample.source_file = "a.csv" if i < 5 else "b.csv"
+            sample.vehicle_id, sample.start_frame = 100 + i, 7 * i
+        split = data_mod.DatasetSplit(train=[a[3], b[0], a[0], b[2], a[4]],
+                                      validation=[b[3]], test=[a[1], b[1], a[2]], seed=41)
+        path = tmp_path / "cache.sctn"
+        checkpoint.save_segment_cache(path, split)
+        loaded = checkpoint.load_segment_cache(path)
+        assert loaded.seed == 41
+        for name in ("train", "validation", "test"):
+            orig, back = getattr(split, name), getattr(loaded, name)
+            assert [(s.source_file, s.vehicle_id, s.start_frame) for s in back] == \
+                [(s.source_file, s.vehicle_id, s.start_frame) for s in orig]
+            for x, y in zip(orig, back):
+                assert np.array_equal(y.scene.positions,
+                                      x.scene.positions.astype(np.float32))
+                assert np.array_equal(y.scene.channel_mask, x.scene.channel_mask)
+                assert np.array_equal(y.scene.origin, x.scene.origin.astype(np.float32))
+                assert y.scene.target_index == x.scene.target_index
+        assert "source 0: a.csv\nsource 1: b.csv\n" in (tmp_path / "cache.sctn.manifest").read_text()
+
+    def test_per_segment_layout_is_data_error(self, tmp_path):
+        # the retired layout stored three entries per segment
+        path = tmp_path / "cache.sctn"
+        checkpoint.save_segment_cache(path, self.make_split())
+        tensors = checkpoint.load_tensors(path)
+        old = {}
+        for i in range(6):
+            old[f"segment/{i:05d}/positions"] = tensors["positions"][i]
+            old[f"segment/{i:05d}/mask"] = tensors["mask"][i]
+            old[f"segment/{i:05d}/meta"] = tensors["meta"][i]
+        old["split_seed"] = tensors["split_seed"]
+        checkpoint.save_tensors(path, old)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: no entry 'positions'$"):
             checkpoint.load_segment_cache(path)
 
     def test_missing_split_seed_rejected(self, tmp_path):

@@ -12,6 +12,7 @@ from sctn import autodiff as ad
 from sctn import checkpoint, cli, config as config_mod, model
 from sctn import data as data_mod
 from sctn.cli import main
+from sctn.errors import DataError
 
 
 SMALL_CFG = """\
@@ -268,7 +269,7 @@ class TestConfigEcho:
                     "--out", tmp_path / "ten"]) == 0
         cache = tmp_path / "ten" / "segments.sctn"
         tensors = checkpoint.load_tensors(cache)
-        del tensors["segment/00004/positions"]
+        tensors["positions"] = np.delete(tensors["positions"], 4, axis=0)
         checkpoint.save_tensors(cache, tensors)
         out = tmp_path / "e"
         assert run(["evaluate", "--config", small_cfg, "--data", cache,
@@ -442,9 +443,8 @@ class TestExitCodes:
         """Write NaN into the first segment of split_name at one frame."""
         tensors = checkpoint.load_tensors(cache)
         code = ("train", "validation", "test").index(split_name)
-        idx = next(i for i in range(len(tensors))
-                   if tensors[f"segment/{i:05d}/meta"][5] == code)
-        tensors[f"segment/{idx:05d}/positions"][0, frame] = np.nan
+        idx = int(np.flatnonzero(tensors["meta"][:, 5] == code)[0])
+        tensors["positions"][idx, 0, frame] = np.nan
         checkpoint.save_tensors(cache, tensors)
         return idx
 
@@ -466,18 +466,17 @@ class TestExitCodes:
         assert err.startswith("data error:") and f"segment {idx}:" in err
         assert not (tmp_path / "t" / "model.sctn").exists()
 
-    def test_mixed_agent_counts_are_data_error(self, tmp_path, small_cfg, capsys):
+    def test_mixed_agent_counts_are_data_error(self, tmp_path):
+        # a cache holds one channel count, so a mixed split is refused at save
         three = data_mod.synthesize_scenes(2, "linear", seed=0, n_agents=3)
         four = data_mod.synthesize_scenes(2, "linear", seed=1, n_agents=4)
         split = data_mod.DatasetSplit(train=three, validation=four[:1],
                                       test=four[1:])
         cache = tmp_path / "mixed.sctn"
-        checkpoint.save_segment_cache(cache, split)
-        assert run(["train", "--config", small_cfg, "--data", cache,
-                    "--out", tmp_path / "t"]) == 2
-        err = capsys.readouterr().err
-        assert "data error" in err and "segment 2 " in err
-        assert "4 agent channels" in err
+        with pytest.raises(DataError, match=r"^segment 2 \(synth:linear, vehicle 0, start 0\) "
+                                            r"has 4 agent channels, segment 0 has 3$"):
+            checkpoint.save_segment_cache(cache, split)
+        assert not cache.exists() and not Path(f"{cache}.manifest").exists()
 
     @pytest.mark.parametrize("which", ["checkpoint", "cache"])
     def test_truncated_file_is_data_error(self, tmp_path, small_cfg, capsys, which):
@@ -569,7 +568,7 @@ class TestExitCodes:
     def test_corrupt_segment_is_data_error(self, tmp_path, small_cfg, capsys):
         cache = synth(tmp_path, small_cfg)
         tensors = checkpoint.load_tensors(cache)
-        tensors["segment/00002/meta"][5] = 7.0
+        tensors["meta"][2, 5] = 7.0
         checkpoint.save_tensors(cache, tensors)
         assert run(["train", "--config", small_cfg, "--data", cache,
                     "--out", tmp_path / "t"]) == 2
@@ -582,12 +581,13 @@ class TestExitCodes:
                     "--out", tmp_path / "ten"]) == 0
         cache = tmp_path / "ten" / "segments.sctn"
         tensors = checkpoint.load_tensors(cache)
-        del tensors["segment/00004/positions"]
+        tensors["positions"] = np.delete(tensors["positions"], 4, axis=0)
         checkpoint.save_tensors(cache, tensors)
         assert run(["evaluate", "--config", small_cfg, "--data", cache,
                     "--checkpoint", ckpt, "--out", tmp_path / "e"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"data error: {cache}: segment 4: no entry ")
+        assert err.startswith(f"data error: {cache}: entry 'positions' has shape (9, 3, 40, 2), "
+                              f"not 10 x 3 x 40 x 2 as 'segments total: 10' implies")
 
     def test_missing_head_of_per_head_checkpoint_is_data_error(self, tmp_path, small_cfg,
                                                                capsys):

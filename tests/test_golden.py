@@ -1,15 +1,17 @@
 """Golden runs. A change that means to keep behaviour shows that it does.
 
 The `prepare` run pins the segment cache written for a fixed log by its
-SHA-256, so the data path is held bit for bit.
+SHA-256, so the data path is held bit for bit, and pins what that cache
+loads back as by GOLDEN_CONTENT_SHA256, so a change to the cache's layout
+alone moves GOLDEN_SHA256 and nothing else.
 
 The log is built here, from integer arithmetic only, so it is the same on
 every platform. It holds vehicles on both frame parities, vehicles that enter
 and leave in the middle of other vehicles' windows, a vehicle with a gap, an
 exact distance tie competing for the last channel, and more vehicles at the
 anchor frame than there are channels. A change that is meant to alter
-`prepare` output (for example a shared 5 Hz grid) updates GOLDEN_SHA256 and
-GOLDEN_MANIFEST and says why.
+`prepare` output (for example a shared 5 Hz grid) updates GOLDEN_SHA256,
+GOLDEN_CONTENT_SHA256 and GOLDEN_MANIFEST and says why.
 
 `PYTHONPATH=src python tests/test_golden.py` reruns every golden run and
 prints each pinned value in this file's layout, ready to replace the old one.
@@ -26,7 +28,8 @@ import numpy as np
 from sctn import checkpoint
 from sctn.cli import main
 
-GOLDEN_SHA256 = "424c3825401ea653827a8a76f61d6be230cfbfa52d4d16729eb311d5f5e1a535"
+GOLDEN_SHA256 = "bc17176505062b4bb2d1724286e3b9d10ba547e660326f7db9be52e46beb4a4d"
+GOLDEN_CONTENT_SHA256 = "41fa8add974eb5d2b77b202765717c898ffc7d139d36acdb5f88b560de10589c"
 GOLDEN_MANIFEST = ("segments total: 69\n"
                    "segments train: 48\n"
                    "segments validation: 7\n"
@@ -67,19 +70,42 @@ def write_log(path):
     path.write_text("\n".join(lines) + "\n")
 
 
+def content_digest(split, log):
+    """SHA-256 of a loaded split: per split, in order, its segment count and
+    each segment's float32 positions, mask, float32 origin, target index,
+    vehicle id, start frame and source (log written as <log>), then the seed."""
+    digest = hashlib.sha256()
+    for name in ("train", "validation", "test"):
+        samples = getattr(split, name)
+        digest.update(f"{name} {len(samples)}\n".encode())
+        for sample in samples:
+            scene = sample.scene
+            digest.update(scene.positions.astype("<f4").tobytes())
+            digest.update(scene.channel_mask.astype(np.uint8).tobytes())
+            digest.update(scene.origin.astype("<f4").tobytes())
+            digest.update(np.array([scene.target_index, sample.vehicle_id,
+                                    sample.start_frame], dtype="<i8").tobytes())
+            digest.update(sample.source_file.replace(str(log), "<log>").encode() + b"\n")
+    digest.update(f"seed {split.seed}\n".encode())
+    return digest.hexdigest()
+
+
 def prepare_run(tmp_path):
-    """The SHA-256 of the golden log's segment cache, and its manifest."""
+    """The SHA-256 of the golden log's segment cache, the SHA-256 of what
+    it loads back as, and its manifest."""
     log = tmp_path / "log.csv"
     write_log(log)
     out = tmp_path / "prep"
     assert main(["prepare", "--data", str(log), "--out", str(out), "--units", "feet",
                  "--neighbors", "5", "--seed", "0"]) == 0
-    digest = hashlib.sha256((out / "segments.sctn").read_bytes()).hexdigest()
-    return digest, (out / "segments.sctn.manifest").read_text().replace(str(log), "<log>")
+    cache = out / "segments.sctn"
+    return (hashlib.sha256(cache.read_bytes()).hexdigest(),
+            content_digest(checkpoint.load_segment_cache(cache), log),
+            (out / "segments.sctn.manifest").read_text().replace(str(log), "<log>"))
 
 
 def test_prepare_output_is_pinned(tmp_path):
-    assert prepare_run(tmp_path) == (GOLDEN_SHA256, GOLDEN_MANIFEST)
+    assert prepare_run(tmp_path) == (GOLDEN_SHA256, GOLDEN_CONTENT_SHA256, GOLDEN_MANIFEST)
 
 
 def test_ablate_cell_matches_train_then_evaluate(tmp_path):
@@ -382,10 +408,11 @@ def _source(name, value):
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         tmp = Path(tmp)
-        digest, manifest = prepare_run(tmp)
+        digest, content, manifest = prepare_run(tmp)
         for run in ("trained", "dropout"):
             (tmp / run).mkdir()
-        pins = dict(GOLDEN_SHA256=digest, GOLDEN_MANIFEST=manifest,
+        pins = dict(GOLDEN_SHA256=digest, GOLDEN_CONTENT_SHA256=content,
+                    GOLDEN_MANIFEST=manifest,
                     TRAINED_GOLDEN=trained_run(tmp / "trained"),
                     DROPOUT_GOLDEN=trained_run(tmp / "dropout", DROPOUT_CFG, scored=False))
     for name, value in pins.items():
