@@ -38,8 +38,8 @@ _FLAG_ARGS = {
     "epochs": dict(type=int),
     "batch": dict(type=int, dest="batch_size", metavar="BATCH"),
     "count": dict(type=int, dest="synth_count", metavar="COUNT"),
-    "kind": dict(choices=("linear", "turn", "interaction"), dest="synth_kind"),
-    "units": dict(choices=("feet", "meters")),
+    "kind": dict(choices=data_mod.SYNTH_KINDS, dest="synth_kind"),
+    "units": dict(choices=data_mod.UNITS),
     "checkpoint": dict(type=Path, required=True),
     "segment": dict(type=int, default=0),
 }

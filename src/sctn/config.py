@@ -4,18 +4,20 @@ One schema covers model, training, data and ablation settings. Its model keys,
 their types and defaults are the fields of ``model.ModelConfig``; the rest are
 listed here. A config resolves in layers: schema defaults, then the profile's
 values from ``model.PROFILES``, then the config file, then explicit flags.
-Unknown keys are rejected, as are t_obs and t_pred other than the window the
-data pipeline cuts. The fully resolved config is echoed into every output
-directory, with the model keys a command took from its cache or checkpoint
-and without those that ``sctn ablate`` sets per grid cell, so a run can always
-be reproduced from its artifacts.
+Unknown keys are rejected, as are values out of range and t_obs and t_pred
+other than the window the data pipeline cuts. The fully resolved config is
+echoed into every output directory, with the model keys a command took from
+its cache or checkpoint and without those that ``sctn ablate`` sets per grid
+cell, so a run can always be reproduced from its artifacts.
 """
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import fields
 from typing import get_type_hints
 
+from .data import SYNTH_KINDS, UNITS, check_split_fractions
 from .errors import ConfigError, read_text
 from .model import PROFILES, T_OBS, T_PRED, ModelConfig
 
@@ -43,6 +45,8 @@ SCHEMA = {
     "ablation_neighbors": (str, "5,10,15"),
     "ablation_epochs": (int, 2),
 }
+
+_FRACTION_KEYS = ("train_fraction", "val_fraction", "test_fraction")
 
 
 def _parse_value(where, typ, text):
@@ -98,11 +102,21 @@ def resolve(file_values=None, overrides=None):
     if (cfg["t_obs"], cfg["t_pred"]) != (T_OBS, T_PRED):
         raise ConfigError(f"t_obs = {cfg['t_obs']}, t_pred = {cfg['t_pred']}: the data "
                           f"pipeline cuts windows of t_obs = {T_OBS}, t_pred = {T_PRED}")
-    if cfg["units"] not in ("feet", "meters"):
-        raise ConfigError(f"units must be feet or meters, got {cfg['units']!r}")
+    for key, allowed in (("units", UNITS), ("synth_kind", SYNTH_KINDS)):
+        if cfg[key] not in allowed:
+            raise ConfigError(f"{key} must be one of {', '.join(allowed)}, got {cfg[key]!r}")
     for key in ("batch_size", "stride", "synth_count", "synth_agents"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
+    for key in ("epochs", "ablation_epochs"):
+        if cfg[key] < 0:
+            raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
+    if not (math.isfinite(cfg["synth_noise"]) and cfg["synth_noise"] >= 0):
+        raise ConfigError(f"synth_noise must be finite and >= 0, got {cfg['synth_noise']}")
+    if not (math.isfinite(cfg["lr"]) and cfg["lr"] > 0):
+        raise ConfigError(f"lr must be finite and > 0, got {cfg['lr']}")
+    check_split_fractions(tuple(cfg[key] for key in _FRACTION_KEYS), ConfigError,
+                          ", ".join(_FRACTION_KEYS))
     neighbor_counts(cfg)
     return cfg
 

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import DataError, read_text
 from .model import T_OBS, T_PRED, Scene
 
+UNITS = ("feet", "meters")  # the units a log's coordinates may be in
 FOOT_IN_METRES = 0.3048
 LOG_FRAMES_PER_SECOND = 10
 FRAMES_PER_SECOND = 5  # the rate of every window the model sees
@@ -69,7 +70,7 @@ def parse_trajectory_csv(path, units="meters"):
     One np.loadtxt call reads the rows. If it refuses them, or they hold a
     non-finite coordinate or a repeated (vehicle, frame), parse_rows reads
     the log again and raises the error that names the line."""
-    if units not in ("feet", "meters"):
+    if units not in UNITS:
         raise DataError(f"unknown units flag {units!r}")
     factor = FOOT_IN_METRES if units == "feet" else 1.0
     fh = io.StringIO(_read_log(path), newline="")
@@ -296,14 +297,21 @@ def build_segments(records, n_channels, stride=5, source_file=""):
     return samples
 
 
+def check_split_fractions(fractions, error=DataError, name="split fractions"):
+    """Raise error, whose message calls the fractions name, unless the
+    (train, validation, test) fractions each lie in [0, 1] and sum to 1
+    (within 1e-9)."""
+    if abs(sum(fractions) - 1.0) > 1e-9 or not all(0 <= f <= 1 for f in fractions):
+        raise error(f"{name} must lie in [0, 1] and sum to 1, got {fractions}")
+
+
 def split_dataset(samples, seed=0, fractions=(0.7, 0.1, 0.2)):
     """Deterministic per-segment split into train/validation/test.
 
     Sizes are allocated by largest remainder: each split gets the floor of
     its share, and the segments left over go to the largest fractional
     parts, ties (compared to 1e-9) in train, validation, test order."""
-    if abs(sum(fractions) - 1.0) > 1e-9 or not all(0 <= f <= 1 for f in fractions):
-        raise DataError(f"split fractions must lie in [0, 1] and sum to 1, got {fractions}")
+    check_split_fractions(fractions)
     order = np.random.default_rng(seed).permutation(len(samples))
     shares = [f * len(samples) for f in fractions]
     sizes = [int(share) for share in shares]
@@ -349,6 +357,9 @@ def retarget_neighbors(sample, n_channels):
 # synthetic scenes
 # ---------------------------------------------------------------------------
 
+SYNTH_KINDS = ("linear", "turn", "interaction")
+
+
 def synthesize_scenes(count, kind="linear", seed=0, n_agents=3, noise=0.0):
     """Deterministic parametric windows for desk-scale testing.
 
@@ -356,7 +367,7 @@ def synthesize_scenes(count, kind="linear", seed=0, n_agents=3, noise=0.0):
     heading change well past 30 degrees), interaction (two agents converge
     then veer apart, remaining agents linear).
     """
-    if kind not in ("linear", "turn", "interaction"):
+    if kind not in SYNTH_KINDS:
         raise DataError(f"unknown synthetic kind {kind!r}")
     rng = np.random.default_rng(seed)
     dt = 1 / FRAMES_PER_SECOND

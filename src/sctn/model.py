@@ -4,7 +4,9 @@ encoder stack + autoregressive decoder.
 Temporal attention runs inside each agent channel; interaction between
 agents flows only through the squeeze-and-excitation block applied to the
 embedded scene. The decoder cross-attends to the encoder latent of its own
-agent channel and is seeded with the agent's last observed position.
+agent channel and is seeded with the agent's last observed position. Each
+decoder step predicts a displacement, which the output head adds to that
+step's input point.
 
 Training runs the decoder once over the whole shifted-right future
 (``teacher_forced_forward``). ``predict`` decodes incrementally without a
@@ -47,7 +49,6 @@ class ModelConfig:
     layers: int = 2
     dropout: float = 0.1
     se_enabled: bool = True
-    predict_offsets: bool = False
     dtype: str = "float32"
     seed: int = 0
 
@@ -308,11 +309,8 @@ def _decode_sequence(dec_points, z, weights, config, training=False, rng=None):
 
 
 def _output_head(x, dec_points, weights, config):
-    out = ad.add(ad.matmul(x, weights.out_w), weights.out_b)
-    if config.predict_offsets:
-        # offset head: step t produces a displacement added to its input point
-        out = ad.add(out, Tensor(np.asarray(dec_points, dtype=config.np_dtype)))
-    return out
+    return ad.add(ad.add(ad.matmul(x, weights.out_w), weights.out_b),
+                  Tensor(np.asarray(dec_points, dtype=config.np_dtype)))
 
 
 class DecoderCache:

@@ -280,8 +280,7 @@ class TestCriterion5MetricOracles:
 class TestCriterion6Overfit:
     def test_four_segment_overfit(self):
         start = time.perf_counter()
-        cfg = model.config_for_profile("desk", n_agents=3, seed=0,
-                                       predict_offsets=True, dtype="float64")
+        cfg = model.config_for_profile("desk", n_agents=3, seed=0, dtype="float64")
         weights = ModelWeights(cfg)
         samples = data_mod.synthesize_scenes(4, "linear", seed=1, n_agents=3)
         result = optim.train(samples, samples, weights, cfg, epochs=500,

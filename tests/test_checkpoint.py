@@ -243,6 +243,7 @@ class TestModelCheckpoint:
         ("se_reduction = 2", ":3: unknown config key 'se_reduction'"),
         ("embed_hidden = False", ":3: unknown config key 'embed_hidden'"),
         ("se_on_decoder = False", ":3: unknown config key 'se_on_decoder'"),
+        ("predict_offsets = true", ":3: unknown config key 'predict_offsets'"),
     ])
     def test_bad_sidecar_line_is_data_error(self, tmp_path, line, names):
         path = tmp_path / "model.sctn"
@@ -275,11 +276,12 @@ class TestModelCheckpoint:
         assert keys == list(config_mod.MODEL_SCHEMA)
 
     def test_sidecar_writes_bools_as_config_echo_does(self, tmp_path):
-        cfg = ModelConfig(**TOY_DIMS)
         path = tmp_path / "model.sctn"
-        checkpoint.save_model_checkpoint(path, ModelWeights(cfg))
-        lines = (tmp_path / "model.sctn.config").read_text().splitlines()
-        assert "se_enabled = true" in lines and "predict_offsets = false" in lines
+        for value in ("true", "false"):
+            cfg = ModelConfig(**TOY_DIMS, se_enabled=value == "true")
+            checkpoint.save_model_checkpoint(path, ModelWeights(cfg))
+            lines = (tmp_path / "model.sctn.config").read_text().splitlines()
+            assert f"se_enabled = {value}" in lines
 
 
 class TestSegmentCache:
@@ -517,8 +519,8 @@ class TestConfigFile:
     def test_schema_holds_every_model_field_in_order(self):
         assert list(config_mod.SCHEMA) == [
             "profile", "n_agents", "t_obs", "t_pred", "model_dim", "heads",
-            "layers", "dropout", "se_enabled", "predict_offsets", "dtype",
-            "seed", "epochs", "batch_size", "lr",
+            "layers", "dropout", "se_enabled", "dtype", "seed",
+            "epochs", "batch_size", "lr",
             "units", "stride", "train_fraction", "val_fraction",
             "test_fraction", "synth_count", "synth_kind", "synth_agents",
             "synth_noise", "ablation_neighbors", "ablation_epochs"]
@@ -536,14 +538,15 @@ class TestConfigFile:
 
     def test_removed_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("embed_hidden = false\n")
-        with pytest.raises(ConfigError, match=r":1:.*embed_hidden"):
-            config_mod.parse_config_file(path)
+        for key in ("embed_hidden", "predict_offsets"):
+            path.write_text(f"{key} = false\n")
+            with pytest.raises(ConfigError, match=f":1: unknown config key '{key}'"):
+                config_mod.parse_config_file(path)
 
     def test_model_config_from(self):
         cfg = config_mod.resolve({"profile": "desk", "n_agents": 5,
-                                  "predict_offsets": True})
+                                  "se_enabled": False})
         mc = config_mod.model_config_from(cfg)
         assert mc.n_agents == 5
         assert mc.model_dim == 64
-        assert mc.predict_offsets is True
+        assert mc.se_enabled is False

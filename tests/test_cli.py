@@ -430,12 +430,13 @@ class TestExitCodes:
         assert "test split" in capsys.readouterr().err
         assert not (tmp_path / "a" / "ablation.csv").exists()
 
-    def test_negative_split_fraction_is_data_error(self, tmp_path, small_cfg, capsys):
+    def test_negative_split_fraction_is_usage_error(self, tmp_path, small_cfg, capsys):
         cfg = tmp_path / "leak.cfg"
         cfg.write_text(SMALL_CFG + "synth_count = 8\ntrain_fraction = 1.0\n"
                        "val_fraction = -0.25\ntest_fraction = 0.25\n")
-        assert run(["synth", "--config", cfg, "--out", tmp_path / "s"]) == 2
-        assert "split fractions must lie in [0, 1]" in capsys.readouterr().err
+        assert run(["synth", "--config", cfg, "--out", tmp_path / "s"]) == 1
+        assert ("usage error: train_fraction, val_fraction, test_fraction must lie in "
+                "[0, 1] and sum to 1" in capsys.readouterr().err)
         assert not (tmp_path / "s" / "segments.sctn").exists()
 
     @staticmethod
@@ -516,6 +517,7 @@ class TestExitCodes:
         ("se_on_decoder = False", "unknown config key 'se_on_decoder'"),
         ("ffn_dim = 256", "unknown config key 'ffn_dim'"),
         ("se_reduction = 2", "unknown config key 'se_reduction'"),
+        ("predict_offsets = true", "unknown config key 'predict_offsets'"),
     ])
     def test_bad_sidecar_line_is_data_error(self, tmp_path, small_cfg, capsys,
                                             line, names):
@@ -550,6 +552,18 @@ class TestExitCodes:
         ("ablation_neighbors =", "ablation_neighbors"),
         ("ablation_neighbors = 5,x", "ablation_neighbors"),
         ("ablation_neighbors = 5,0", "ablation_neighbors"),
+        ("synth_kind = bogus", "synth_kind"),
+        ("units = yards", "units"),
+        ("train_fraction = 0.9", "train_fraction"),
+        ("test_fraction = 1.1", "test_fraction"),
+        ("synth_noise = nan", "synth_noise"),
+        ("synth_noise = -1", "synth_noise"),
+        ("synth_noise = inf", "synth_noise"),
+        ("lr = -1", "lr"),
+        ("lr = 0", "lr"),
+        ("lr = nan", "lr"),
+        ("epochs = -1", "epochs"),
+        ("ablation_epochs = -1", "ablation_epochs"),
     ])
     def test_run_key_out_of_range_is_usage_error(self, tmp_path, small_cfg, capsys,
                                                  line, key):
@@ -558,6 +572,7 @@ class TestExitCodes:
         assert run(["synth", "--config", cfg, "--out", tmp_path / "s"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and key in err
+        assert not (tmp_path / "s" / "config.txt").exists()
 
     def test_zero_batch_flag_is_usage_error(self, tmp_path, small_cfg, capsys):
         cache = synth(tmp_path, small_cfg)

@@ -147,94 +147,96 @@ TRAINED_CFG = "model_dim = 16\nheads = 2\nlayers = 2\nepochs = 3\n"
 TRAINED_REL = 1e-5
 TRAINED_ABS = 1e-5  # metres, for predicted points near 0
 TRAINED_GOLDEN = dict(
-    losses=[[30.1059696, 25.195797], [24.0830064, 22.9678078], [21.3839762, 21.5337772]],
-    metrics=[[1.0, 4.03203, 4.653945, 5.442182],
-             [2.0, 4.737921, 5.945594, 6.334772],
-             [3.0, 5.511428, 7.986224, 7.251987],
-             [4.0, 6.514247, 10.542695, 8.322498],
-             [5.0, 7.605999, 12.9362, 9.475189]],
+    losses=[[0.397441781, 0.645352125],
+            [0.619796796, 0.194558389],
+            [0.142399433, 0.057831265]],
+    metrics=[[1.0, 1.162892, 1.88226, 1.342116],
+             [2.0, 1.919744, 3.304886, 2.486828],
+             [3.0, 2.836161, 5.616916, 3.899476],
+             [4.0, 3.901934, 8.101792, 5.460604],
+             [5.0, 5.042076, 10.597352, 7.102864]],
     known_sha256="69fa57d9a460095df04ca9e80331caca5a33e92c940e6bb12eff55ece643994d",
-    predicted={"0@19": [0.45454, -1.14869],
-               "0@24": [-1.674269, -2.48708],
-               "0@29": [-1.756488, -2.53452],
-               "0@34": [-2.133963, -2.356003],
-               "0@39": [-1.951753, -2.46481],
-               "1@19": [-1.418322, -2.569043],
-               "1@24": [-2.111817, -2.390392],
-               "1@29": [-1.989283, -2.477721],
-               "1@34": [-2.249229, -2.327748],
-               "1@39": [-2.062295, -2.435373],
-               "2@19": [-0.95983, -2.420278],
-               "2@24": [-2.31248, -2.126372],
-               "2@29": [-2.074393, -2.319592],
-               "2@34": [-2.515668, -1.826802],
-               "2@39": [-2.233818, -2.159879]},
-    norms={"embed/w": 2.48139469,
-           "embed/b": 0.0822403185,
-           "se_enc/w1": 0.493529487,
-           "se_enc/w2": 0.85853864,
-           "enc0/attn/wq": 2.29788362,
-           "enc0/attn/wk": 2.3636808,
-           "enc0/attn/wv": 2.34772438,
-           "enc0/attn/wo": 2.24735829,
-           "enc0/attn_norm/gain": 3.99294474,
-           "enc0/attn_norm/bias": 0.0842900434,
-           "enc0/ffn/w1": 4.77122567,
-           "enc0/ffn/b1": 0.156334467,
-           "enc0/ffn/w2": 2.35601345,
-           "enc0/ffn/b2": 0.079787238,
-           "enc0/ffn_norm/gain": 3.98881101,
-           "enc0/ffn_norm/bias": 0.0792307959,
-           "enc1/attn/wq": 2.25158088,
-           "enc1/attn/wk": 2.30137389,
-           "enc1/attn/wv": 2.37396958,
-           "enc1/attn/wo": 2.28832538,
-           "enc1/attn_norm/gain": 3.98822517,
-           "enc1/attn_norm/bias": 0.0823777396,
-           "enc1/ffn/w1": 4.81884096,
-           "enc1/ffn/b1": 0.154643397,
-           "enc1/ffn/w2": 2.37365922,
-           "enc1/ffn/b2": 0.0721727458,
-           "enc1/ffn_norm/gain": 3.95845024,
-           "enc1/ffn_norm/bias": 0.0617064121,
-           "dec0/self/wq": 2.3209314,
-           "dec0/self/wk": 2.38479452,
-           "dec0/self/wv": 2.31517162,
-           "dec0/self/wo": 2.33769229,
-           "dec0/self_norm/gain": 4.02082493,
-           "dec0/self_norm/bias": 0.0887393541,
-           "dec0/cross/wq": 2.32591772,
-           "dec0/cross/wk": 2.41373094,
-           "dec0/cross/wv": 2.28839563,
-           "dec0/cross/wo": 2.22524159,
-           "dec0/cross_norm/gain": 4.01821979,
-           "dec0/cross_norm/bias": 0.0877063269,
-           "dec0/ffn/w1": 4.68007532,
-           "dec0/ffn/b1": 0.187890941,
-           "dec0/ffn/w2": 2.41130449,
-           "dec0/ffn/b2": 0.0826861634,
-           "dec0/ffn_norm/gain": 4.00772107,
-           "dec0/ffn_norm/bias": 0.0816557149,
-           "dec1/self/wq": 2.26876795,
-           "dec1/self/wk": 2.37483623,
-           "dec1/self/wv": 2.20248842,
-           "dec1/self/wo": 2.26631807,
-           "dec1/self_norm/gain": 4.00329522,
-           "dec1/self_norm/bias": 0.0829760551,
-           "dec1/cross/wq": 2.39062215,
-           "dec1/cross/wk": 2.36552164,
-           "dec1/cross/wv": 2.31494629,
-           "dec1/cross/wo": 2.35316497,
-           "dec1/cross_norm/gain": 4.01014462,
-           "dec1/cross_norm/bias": 0.0822347601,
-           "dec1/ffn/w1": 4.73193959,
-           "dec1/ffn/b1": 0.184992739,
-           "dec1/ffn/w2": 2.39331726,
-           "dec1/ffn/b2": 0.0820729593,
-           "dec1/ffn_norm/gain": 4.06232754,
-           "dec1/ffn_norm/bias": 0.112286883,
-           "out/w": 0.913209807,
-           "out/b": 0.0404203458},
+    predicted={"0@19": [0.677766, 0.140803],
+               "0@24": [-0.050865, 1.748258],
+               "0@29": [-0.221492, 3.92056],
+               "0@34": [-0.645216, 6.379949],
+               "0@39": [-1.037637, 8.79307],
+               "1@19": [0.505902, -0.145391],
+               "1@24": [-0.289446, 1.077755],
+               "1@29": [-0.463213, 2.77529],
+               "1@34": [-0.90777, 4.952913],
+               "1@39": [-1.303155, 7.111347],
+               "2@19": [1.965774, -3.680593],
+               "2@24": [2.870118, -4.927995],
+               "2@29": [4.190179, -6.388842],
+               "2@34": [5.363157, -7.751332],
+               "2@39": [6.628187, -9.143508]},
+    norms={"embed/w": 2.50493223,
+           "embed/b": 0.0531322082,
+           "se_enc/w1": 0.490829519,
+           "se_enc/w2": 0.902124633,
+           "enc0/attn/wq": 2.25567713,
+           "enc0/attn/wk": 2.30684911,
+           "enc0/attn/wv": 2.36499936,
+           "enc0/attn/wo": 2.21350898,
+           "enc0/attn_norm/gain": 4.00829148,
+           "enc0/attn_norm/bias": 0.0730698032,
+           "enc0/ffn/w1": 4.78240845,
+           "enc0/ffn/b1": 0.145099581,
+           "enc0/ffn/w2": 2.31118456,
+           "enc0/ffn/b2": 0.0725601192,
+           "enc0/ffn_norm/gain": 4.01338378,
+           "enc0/ffn_norm/bias": 0.0720088982,
+           "enc1/attn/wq": 2.21184171,
+           "enc1/attn/wk": 2.30159344,
+           "enc1/attn/wv": 2.43185987,
+           "enc1/attn/wo": 2.32415022,
+           "enc1/attn_norm/gain": 4.02176489,
+           "enc1/attn_norm/bias": 0.0717377082,
+           "enc1/ffn/w1": 4.80134571,
+           "enc1/ffn/b1": 0.148241542,
+           "enc1/ffn/w2": 2.36167867,
+           "enc1/ffn/b2": 0.0692671439,
+           "enc1/ffn_norm/gain": 4.01186994,
+           "enc1/ffn_norm/bias": 0.0699882699,
+           "dec0/self/wq": 2.33158117,
+           "dec0/self/wk": 2.40263863,
+           "dec0/self/wv": 2.29945922,
+           "dec0/self/wo": 2.34477466,
+           "dec0/self_norm/gain": 4.01840384,
+           "dec0/self_norm/bias": 0.0447711248,
+           "dec0/cross/wq": 2.30022861,
+           "dec0/cross/wk": 2.37334651,
+           "dec0/cross/wv": 2.33811842,
+           "dec0/cross/wo": 2.25981191,
+           "dec0/cross_norm/gain": 4.02137432,
+           "dec0/cross_norm/bias": 0.0487506151,
+           "dec0/ffn/w1": 4.63716652,
+           "dec0/ffn/b1": 0.110006793,
+           "dec0/ffn/w2": 2.32710922,
+           "dec0/ffn/b2": 0.0338265429,
+           "dec0/ffn_norm/gain": 4.00716451,
+           "dec0/ffn_norm/bias": 0.0293690028,
+           "dec1/self/wq": 2.27448239,
+           "dec1/self/wk": 2.36148336,
+           "dec1/self/wv": 2.22129773,
+           "dec1/self/wo": 2.2840603,
+           "dec1/self_norm/gain": 3.99932591,
+           "dec1/self_norm/bias": 0.0385646079,
+           "dec1/cross/wq": 2.36850193,
+           "dec1/cross/wk": 2.36375705,
+           "dec1/cross/wv": 2.31034016,
+           "dec1/cross/wo": 2.38514456,
+           "dec1/cross_norm/gain": 4.01354635,
+           "dec1/cross_norm/bias": 0.0436854725,
+           "dec1/ffn/w1": 4.69038091,
+           "dec1/ffn/b1": 0.114723187,
+           "dec1/ffn/w2": 2.30778832,
+           "dec1/ffn/b2": 0.0506192006,
+           "dec1/ffn_norm/gain": 3.92570785,
+           "dec1/ffn_norm/bias": 0.0284290245,
+           "out/w": 0.772133652,
+           "out/b": 0.0172916446},
 )
 
 
@@ -244,73 +246,73 @@ TRAINED_GOLDEN = dict(
 # also recorded before the change that added it altered anything under src/.
 DROPOUT_CFG = "model_dim = 16\nheads = 2\nlayers = 2\nepochs = 2\ndropout = 0.1\n"
 DROPOUT_GOLDEN = dict(
-    losses=[[30.1401828, 25.1966496], [24.2602336, 23.0039835]],
-    norms={"embed/w": 2.48421864,
-           "embed/b": 0.0636046584,
-           "se_enc/w1": 0.495595841,
-           "se_enc/w2": 0.854556092,
-           "enc0/attn/wq": 2.28118359,
-           "enc0/attn/wk": 2.33431696,
-           "enc0/attn/wv": 2.34387982,
-           "enc0/attn/wo": 2.23874305,
-           "enc0/attn_norm/gain": 3.9946291,
-           "enc0/attn_norm/bias": 0.0650449027,
-           "enc0/ffn/w1": 4.76241874,
-           "enc0/ffn/b1": 0.118770299,
-           "enc0/ffn/w2": 2.32367207,
-           "enc0/ffn/b2": 0.0587378883,
-           "enc0/ffn_norm/gain": 3.98879736,
-           "enc0/ffn_norm/bias": 0.0587716845,
-           "enc1/attn/wq": 2.227159,
-           "enc1/attn/wk": 2.28150997,
-           "enc1/attn/wv": 2.38065036,
-           "enc1/attn/wo": 2.2915781,
-           "enc1/attn_norm/gain": 3.98495388,
-           "enc1/attn_norm/bias": 0.0617714068,
-           "enc1/ffn/w1": 4.79367992,
-           "enc1/ffn/b1": 0.121088528,
-           "enc1/ffn/w2": 2.3463839,
-           "enc1/ffn/b2": 0.0575445086,
-           "enc1/ffn_norm/gain": 3.97361343,
-           "enc1/ffn_norm/bias": 0.0526837651,
-           "dec0/self/wq": 2.30908145,
-           "dec0/self/wk": 2.37588185,
-           "dec0/self/wv": 2.30122773,
-           "dec0/self/wo": 2.32349283,
-           "dec0/self_norm/gain": 4.01211706,
-           "dec0/self_norm/bias": 0.0684388863,
-           "dec0/cross/wq": 2.31141199,
-           "dec0/cross/wk": 2.39359187,
-           "dec0/cross/wv": 2.29353552,
-           "dec0/cross/wo": 2.22901377,
-           "dec0/cross_norm/gain": 4.01156052,
-           "dec0/cross_norm/bias": 0.0679057573,
-           "dec0/ffn/w1": 4.64838616,
-           "dec0/ffn/b1": 0.140491623,
-           "dec0/ffn/w2": 2.35456197,
-           "dec0/ffn/b2": 0.0653771194,
-           "dec0/ffn_norm/gain": 4.00366787,
-           "dec0/ffn_norm/bias": 0.0649134843,
-           "dec1/self/wq": 2.2601452,
-           "dec1/self/wk": 2.35581882,
-           "dec1/self/wv": 2.20172389,
-           "dec1/self/wo": 2.26654848,
-           "dec1/self_norm/gain": 3.99965278,
-           "dec1/self_norm/bias": 0.0648620666,
-           "dec1/cross/wq": 2.36351871,
-           "dec1/cross/wk": 2.35877744,
-           "dec1/cross/wv": 2.2992151,
-           "dec1/cross/wo": 2.35859856,
-           "dec1/cross_norm/gain": 4.0075333,
-           "dec1/cross_norm/bias": 0.0643677743,
-           "dec1/ffn/w1": 4.69044179,
-           "dec1/ffn/b1": 0.137017533,
-           "dec1/ffn/w2": 2.33900978,
-           "dec1/ffn/b2": 0.0644892985,
-           "dec1/ffn_norm/gain": 4.03264179,
-           "dec1/ffn_norm/bias": 0.0774613464,
-           "out/w": 0.878595477,
-           "out/b": 0.0276940655},
+    losses=[[0.3969932, 0.626014918], [0.591586717, 0.18582106]],
+    norms={"embed/w": 2.49628426,
+           "embed/b": 0.0457297167,
+           "se_enc/w1": 0.489537923,
+           "se_enc/w2": 0.892713188,
+           "enc0/attn/wq": 2.24908168,
+           "enc0/attn/wk": 2.30390042,
+           "enc0/attn/wv": 2.35226228,
+           "enc0/attn/wo": 2.20820956,
+           "enc0/attn_norm/gain": 4.00478983,
+           "enc0/attn_norm/bias": 0.0550207725,
+           "enc0/ffn/w1": 4.76249964,
+           "enc0/ffn/b1": 0.112781197,
+           "enc0/ffn/w2": 2.28601824,
+           "enc0/ffn/b2": 0.0545919897,
+           "enc0/ffn_norm/gain": 4.0039544,
+           "enc0/ffn_norm/bias": 0.0539320782,
+           "enc1/attn/wq": 2.21118261,
+           "enc1/attn/wk": 2.29365709,
+           "enc1/attn/wv": 2.41054948,
+           "enc1/attn/wo": 2.31329957,
+           "enc1/attn_norm/gain": 4.01719166,
+           "enc1/attn_norm/bias": 0.0545876798,
+           "enc1/ffn/w1": 4.79083552,
+           "enc1/ffn/b1": 0.111856075,
+           "enc1/ffn/w2": 2.33740997,
+           "enc1/ffn/b2": 0.0553850931,
+           "enc1/ffn_norm/gain": 4.01338642,
+           "enc1/ffn_norm/bias": 0.0498322689,
+           "dec0/self/wq": 2.32151596,
+           "dec0/self/wk": 2.3881158,
+           "dec0/self/wv": 2.30107028,
+           "dec0/self/wo": 2.34267752,
+           "dec0/self_norm/gain": 4.01668179,
+           "dec0/self_norm/bias": 0.0394563641,
+           "dec0/cross/wq": 2.30960207,
+           "dec0/cross/wk": 2.37616711,
+           "dec0/cross/wv": 2.33597724,
+           "dec0/cross/wo": 2.25933906,
+           "dec0/cross_norm/gain": 4.01645855,
+           "dec0/cross_norm/bias": 0.0397207115,
+           "dec0/ffn/w1": 4.63031077,
+           "dec0/ffn/b1": 0.092577668,
+           "dec0/ffn/w2": 2.31840808,
+           "dec0/ffn/b2": 0.0359305816,
+           "dec0/ffn_norm/gain": 4.00902797,
+           "dec0/ffn_norm/bias": 0.0350451683,
+           "dec1/self/wq": 2.27127309,
+           "dec1/self/wk": 2.35281987,
+           "dec1/self/wv": 2.22453152,
+           "dec1/self/wo": 2.28039964,
+           "dec1/self_norm/gain": 4.00922227,
+           "dec1/self_norm/bias": 0.0369258423,
+           "dec1/cross/wq": 2.36560211,
+           "dec1/cross/wk": 2.36140858,
+           "dec1/cross/wv": 2.29672983,
+           "dec1/cross/wo": 2.37157866,
+           "dec1/cross_norm/gain": 4.01754624,
+           "dec1/cross_norm/bias": 0.0420759646,
+           "dec1/ffn/w1": 4.68731045,
+           "dec1/ffn/b1": 0.0921023666,
+           "dec1/ffn/w2": 2.30082994,
+           "dec1/ffn/b2": 0.0440038194,
+           "dec1/ffn_norm/gain": 3.94827154,
+           "dec1/ffn_norm/bias": 0.0354423009,
+           "out/w": 0.793222803,
+           "out/b": 0.0190995738},
 )
 
 

@@ -173,8 +173,7 @@ class TestCachedRollout:
     @pytest.mark.parametrize("variant", [
         dict(layers=1),
         dict(layers=2, dropout=0.1),
-        dict(layers=1, predict_offsets=True),
-    ], ids=["L1", "L2-dropout", "L1-offsets"])
+    ], ids=["L1", "L2-dropout"])
     def test_matches_recompute(self, dtype, tol, kind, variant):
         cfg, weights = toy_setup(n_agents=4, t_pred=8, dtype=dtype, **variant)
         scene = padded_scene(cfg, kind)
@@ -241,6 +240,32 @@ class TestTeacherForcing:
         seed_tok = scene.observed(cfg.t_obs)[:, -1:, :]
         step1 = model.decode_step(seed_tok, weights, cfg, model.DecoderCache(z, weights, cfg))
         np.testing.assert_allclose(forced.data[:, :1], step1, atol=1e-10)
+
+
+class TestZeroHead:
+    """With out/w and out/b zero, every step predicts no displacement, so
+    each output is its step's input point, exactly."""
+
+    @staticmethod
+    def zero_head(dtype):
+        cfg, weights = toy_setup(n_agents=4, t_pred=6, dtype=dtype)
+        weights.out_w.data = np.zeros_like(weights.out_w.data)
+        weights.out_b.data = np.zeros_like(weights.out_b.data)
+        return cfg, weights, padded_scene(cfg, "turn", n_real=3)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_predict_repeats_the_seed_point(self, dtype):
+        cfg, weights, scene = self.zero_head(dtype)
+        seed_point = scene.observed(cfg.t_obs)[:, -1:].astype(cfg.np_dtype)
+        assert np.array_equal(model.predict(scene, weights, cfg),
+                              np.repeat(seed_point, cfg.t_pred, axis=1))
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_teacher_forced_pass_returns_its_shifted_input(self, dtype):
+        cfg, weights, scene = self.zero_head(dtype)
+        shifted = scene.positions[:, cfg.t_obs - 1:-1].astype(cfg.np_dtype)
+        out = model.teacher_forced_forward(scene, weights, cfg, training=False)
+        assert out.data.dtype == cfg.np_dtype and np.array_equal(out.data, shifted)
 
 
 class TestAttentionRoute:
