@@ -15,8 +15,10 @@ layer_norm raise NumericError on a non-finite output (naming it, e.g.
 overflowing residual sum inside layer_norm does too. relu and sigmoid map
 +-inf to finite values, so they check their input. attention checks twice:
 its masked, scaled scores, because softmax gives a -inf score weight 0, and
-its output, which a bad value reaches only through v. The shape ops,
+its output, which a bad value reaches only through v. reshape,
 scale_channels and dropout are unchecked and leave a bad value to the next op.
+
+attention alone splits ... x T x D projections into heads and merges them.
 """
 from __future__ import annotations
 
@@ -218,14 +220,6 @@ def sigmoid(a):
     return _link(out, lambda g: _acc(a, g * s * (1.0 - s)))
 
 
-def transpose(a, axis1=-2, axis2=-1):
-    """Swap two axes, by default the last two."""
-    if a.ndim < 2:
-        raise ShapeError("transpose requires rank >= 2")
-    out = _make(np.swapaxes(a.data, axis1, axis2), (a,))
-    return _link(out, lambda g: _acc(a, np.swapaxes(g, axis1, axis2)))
-
-
 def mean(a, axis=None):
     """Mean reduction over all elements (axis=None) or over the given axes."""
     out_data = np.asarray(a.data.mean(axis=axis))
@@ -260,23 +254,28 @@ def scale_channels(a, s):
     return _link(out, backward_fn)
 
 
-def attention(q, k, v, fill=None):
-    """softmax(q kT c + fill) v as one op, c = 1 / sqrt(d_k), softmax over
-    the keys.
+def attention(q, k, v, fill=None, heads=1):
+    """Multi-head softmax(q kT c + fill) v as one op, c = 1 / sqrt(d_k),
+    softmax over the keys.
 
-    q: ... x T_q x d_k, k: ... x T_k x d_k, v: ... x T_k x d_v, with equal
-    leading axes. fill is an additive array broadcast onto the ... x T_q x T_k
-    scores (e.g. -1e9 at blocked slots), not differentiated. The backward is
-    hand-written: with weights p, dv = pT g, ds = p (g vT - rowsum(g vT p)) c,
-    dq = ds k and dk = dsT q.
-    """
+    q: ... x T_q x D, k: ... x T_k x D, v: ... x T_k x D_v, equal leading
+    axes; head i attends with column block i of each (D / heads wide) and
+    writes block i of the output. fill is an additive array broadcast onto
+    the ... x h x T_q x T_k scores (e.g. -1e9 at blocked slots), not
+    differentiated. The backward is hand-written, per head: with weights p,
+    dv = pT g, ds = p (g vT - rowsum(g vT p)) c, dq = ds k and dk = dsT q."""
     if q.ndim < 2 or not q.shape[:-2] == k.shape[:-2] == v.shape[:-2]:
         raise ShapeError(f"attention leading axes differ: {q.shape}, {k.shape}, {v.shape}")
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
-        raise ShapeError(f"attention operands do not align: {q.shape}, {k.shape}, {v.shape}")
+    if (q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]
+            or q.shape[-1] % heads or v.shape[-1] % heads):
+        raise ShapeError(f"attention operands do not align ({heads} heads): "
+                         f"{q.shape}, {k.shape}, {v.shape}")
+    # ... x T x D as ... x h x T x d_k views, merged back by an axis swap and a copy
+    qh, kh, vh = (np.swapaxes(a.data.reshape(*a.shape[:-1], heads, a.shape[-1] // heads),
+                              -3, -2) for a in (q, k, v))
     # a Python float keeps float32 scores float32
-    c = float(1.0 / np.sqrt(q.shape[-1]))
-    p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    c = float(1.0 / np.sqrt(qh.shape[-1]))
+    p = np.matmul(qh, np.swapaxes(kh, -1, -2))
     p *= c
     if fill is not None:
         p += fill
@@ -284,21 +283,22 @@ def attention(q, k, v, fill=None):
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
-    out_data = np.matmul(p, v.data)
+    out_data = np.matmul(p, vh).swapaxes(-3, -2).reshape(*q.shape[:-1], v.shape[-1])
     _require_finite("attention output", out_data)
     out = _make(out_data, (q, k, v))
 
     def backward_fn(g):
+        g = np.swapaxes(g.reshape(*g.shape[:-1], heads, vh.shape[-1]), -3, -2)
         if v.requires_grad:
-            _acc(v, np.matmul(np.swapaxes(p, -1, -2), g))
-        gp = np.matmul(g, np.swapaxes(v.data, -1, -2))
+            _acc(v, np.matmul(np.swapaxes(p, -1, -2), g).swapaxes(-3, -2).reshape(v.shape))
+        gp = np.matmul(g, np.swapaxes(vh, -1, -2))
         ds = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
         ds *= c
         if q.requires_grad:
-            _acc(q, np.matmul(ds, k.data))
+            _acc(q, np.matmul(ds, kh).swapaxes(-3, -2).reshape(q.shape))
         if k.requires_grad:
             # (qT ds)T, not dsT q: the product the unfused chain formed, bit for bit
-            _acc(k, np.swapaxes(np.matmul(np.swapaxes(q.data, -1, -2), ds), -1, -2))
+            _acc(k, np.moveaxis(np.matmul(np.swapaxes(qh, -1, -2), ds), -1, -3).reshape(k.shape))
 
     return _link(out, backward_fn)
 

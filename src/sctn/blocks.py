@@ -3,12 +3,12 @@ the residual Add -> Dropout -> Norm wrapper.
 
 Every attention in the model, the encoder's and the decoder's, cached or not,
 is one ``multi_head_attention`` call. Its queries come from x; its keys and
-values come ready split into heads, from ``keys_values`` of any input (the
-same x, the encoder latent) or from a decoder cache. Heads are an array axis:
-a projection's output is split into ... x h x T x d_k by a reshape and an
-axis swap, so all heads attend in one ``autodiff.attention`` op. Inputs are a
-single sequence (T x D) or a batch of agent channels (N x T x D); every
-projection is one product of the stacked rows with a rank-2 weight.
+values are the plain projections ``keys_values`` makes of any input (the same
+x, the encoder latent) or rows of a decoder cache. Every projection stays
+... x T x D: all heads attend in one ``autodiff.attention`` op, the only code
+that splits a projection into heads or merges them back. Inputs are a single
+sequence (T x D) or a batch of agent channels (N x T x D); every projection
+is one product of the stacked rows with a rank-2 weight.
 """
 from __future__ import annotations
 
@@ -47,27 +47,18 @@ def causal_fill(t, dtype):
     return np.triu(np.full((t, t), MASK_FILL, dtype=dtype), k=1)
 
 
-def _project_heads(x, w, heads):
-    """x (... x T x D) projected by w and split into heads: ... x h x T x d_k."""
-    y = ad.matmul(x, w)
-    *lead, t, d = y.shape
-    return ad.transpose(ad.reshape(y, (*lead, t, heads, d // heads)), -3, -2)
-
-
 def keys_values(x, weights):
-    """The keys and values weights project from x, split into heads."""
-    return (_project_heads(x, weights.w_k, weights.heads),
-            _project_heads(x, weights.w_v, weights.heads))
+    """The keys and values weights project from x, each ... x T x D."""
+    return ad.matmul(x, weights.w_k), ad.matmul(x, weights.w_v)
 
 
 def multi_head_attention(x, weights, kv, fill=None):
     """h parallel heads of x's queries over kv, the (keys, values) pair of
-    ``keys_values``, merged and reprojected by w_o; output has x's shape.
-    fill is an additive score fill such as ``causal_fill``."""
-    queries = _project_heads(x, weights.w_q, weights.heads)
-    merged = ad.transpose(ad.attention(queries, *kv, fill=fill), -3, -2)
-    *lead, t, heads, d_k = merged.shape
-    return ad.matmul(ad.reshape(merged, (*lead, t, heads * d_k)), weights.w_o)
+    ``keys_values``, reprojected by w_o; output has x's shape. fill is an
+    additive score fill such as ``causal_fill``."""
+    queries = ad.matmul(x, weights.w_q)
+    return ad.matmul(ad.attention(queries, *kv, fill=fill, heads=weights.heads),
+                     weights.w_o)
 
 
 def feed_forward(x, weights):

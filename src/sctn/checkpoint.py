@@ -23,7 +23,7 @@ import struct
 import numpy as np
 
 from . import config as config_mod, data as data_mod
-from .errors import ConfigError, DataError, read_text
+from .errors import ConfigError, DataError, open_input, read_text
 from .model import ModelConfig, ModelWeights, Scene
 
 MAGIC = b"SCTN"
@@ -61,7 +61,7 @@ def load_tensors(path):
     array, and no two entries of a container save_tensors wrote share an
     element. An offset that is not a multiple of 4 cannot be viewed and is
     a DataError."""
-    with open(path, "rb") as fh:
+    with open_input(path, "tensor container") as fh:
         if fh.read(4) != MAGIC:
             raise DataError(f"{path}: bad magic bytes, not a tensor container")
         try:
@@ -144,10 +144,7 @@ def load_segment_cache(path):
     in one row is a DataError naming its segment."""
     tensors = load_tensors(path)
     manifest = f"{path}.manifest"
-    try:
-        text = read_text(manifest)
-    except FileNotFoundError:
-        raise DataError(f"{manifest}: segment cache manifest missing") from None
+    text = read_text(manifest, "segment cache manifest")
     lines = dict(line.rstrip("\n").partition(": ")[::2]
                  for line in io.StringIO(text, newline=None))
     total = lines.get("segments total", "")
@@ -220,9 +217,8 @@ def load_model_checkpoint(path):
     must hold one line for every model key."""
     sidecar = str(path) + ".config"
     try:
-        values = config_mod.parse_config_file(sidecar, config_mod.MODEL_SCHEMA)
-    except FileNotFoundError:
-        raise DataError(f"{sidecar}: checkpoint config sidecar missing") from None
+        values = config_mod.parse_config_file(sidecar, config_mod.MODEL_SCHEMA,
+                                              "checkpoint config sidecar")
     except ConfigError as exc:
         raise DataError(str(exc)) from None
     missing = [key for key in config_mod.MODEL_SCHEMA if key not in values]

@@ -261,7 +261,11 @@ def main(argv=None):
         # numpy's warnings would only repeat it ahead of the exit-3 message
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             cfg = _resolve(args)
-            args.out.mkdir(parents=True, exist_ok=True)
+            try:
+                args.out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise UsageError(f"--out {args.out} cannot be the output directory "
+                                 f"({exc.strerror})") from None
             return _SUBCOMMANDS[args.command][0](args, cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

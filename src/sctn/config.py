@@ -65,12 +65,11 @@ def _parse_value(where, typ, text):
         raise ConfigError(f"{where}: expected {typ.__name__}, got {text!r}") from None
 
 
-def parse_config_file(path, schema=SCHEMA):
-    """Parse a UTF-8 key = value file with '#' comments into a plain dict.
-
-    Every key must be in schema, which maps it to (type, default)."""
+def parse_config_file(path, schema=SCHEMA, what="config file"):
+    """Parse the UTF-8 key = value file what names, with '#' comments, into a
+    plain dict. Every key must be in schema, which maps it to (type, default)."""
     values = {}
-    text = read_text(path, ConfigError)
+    text = read_text(path, what, ConfigError)
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:

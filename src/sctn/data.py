@@ -135,7 +135,7 @@ def parse_rows(path, factor):
 
 def _read_log(path):
     """The text of a UTF-8 log, without a leading byte order mark."""
-    return read_text(path).removeprefix("\ufeff")
+    return read_text(path, "track log").removeprefix("\ufeff")
 
 
 def _columns(path, reader):

@@ -1,5 +1,5 @@
-"""Exception hierarchy shared across the package, and read_text, which
-words a text file that is not UTF-8 as one of them.
+"""Exception hierarchy shared across the package, and the input readers,
+which word a file that cannot be opened or decoded as one of them.
 
 The CLI maps these onto exit codes: UsageError -> 1, DataError -> 2,
 NumericError -> 3.
@@ -26,10 +26,20 @@ class NumericError(Exception):
     """Non-finite values encountered where finite numbers are required."""
 
 
-def read_text(path, error=DataError):
-    """The text of a UTF-8 file. A file that is not UTF-8 raises error,
-    which names the file and the byte offset of its first bad byte."""
-    with open(path, "rb") as fh:
+def open_input(path, what, error=DataError):
+    """path opened for binary reading. A path that cannot be opened raises
+    error, which names it as what and gives the OS's reason."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        state = "missing" if isinstance(exc, FileNotFoundError) else "cannot be opened"
+        raise error(f"{path}: {what} {state} ({exc.strerror})") from None
+
+
+def read_text(path, what, error=DataError):
+    """The text of a UTF-8 file, opened by open_input. A file that is not
+    UTF-8 raises error, which names it and the offset of its first bad byte."""
+    with open_input(path, what, error) as fh:
         raw = fh.read()
     try:
         return raw.decode("utf-8")

@@ -316,14 +316,13 @@ def _output_head(x, dec_points, weights, config):
 class DecoderCache:
     """Decoder keys and values of one rollout, per layer.
 
-    The self-attention keys and values of the decoded positions fill
-    N x h x T_pred x d_k buffers; the cross-attention ones are projected from
-    the encoder latent z once. Built and used without a gradient graph.
+    The self-attention keys and values of the decoded positions fill an
+    N x T_pred x D buffer each, laid out as the projections are; the cross
+    ones are projected from the encoder latent z once. No gradient graph.
     """
 
     def __init__(self, z, weights, config):
-        h = config.heads
-        shape = (z.shape[0], h, config.t_pred, config.model_dim // h)
+        shape = (z.shape[0], config.t_pred, config.model_dim)
         with ad.no_grad():
             self.cross = [blocks.keys_values(z, layer["cross"]) for layer in weights.decoder]
         self.keys, self.values = ([np.empty(shape, config.np_dtype) for _ in weights.decoder]
@@ -340,8 +339,8 @@ class DecoderCache:
         return the keys and values of every position so far."""
         t = self.length + 1
         for buf, new in zip((self.keys[i], self.values[i]), blocks.keys_values(x, attn)):
-            buf[:, :, t - 1:t] = new.data
-        return Tensor(self.keys[i][:, :, :t]), Tensor(self.values[i][:, :, :t])
+            buf[:, t - 1:t] = new.data
+        return Tensor(self.keys[i][:, :t]), Tensor(self.values[i][:, :t])
 
 
 @ad.no_grad()

@@ -47,15 +47,6 @@ class TestPrimitives:
         with pytest.raises(ShapeError):
             ad.add(t(np.zeros((2, 3))), t(np.zeros((3, 2))))
 
-    def test_concat_and_transpose(self):
-        a = t([[1.0, 2.0]])
-        np.testing.assert_array_equal(ad.transpose(a).data, [[1], [2]])
-        # heads (h x T x d_k) are concatenated along features by an axis
-        # swap and a reshape
-        heads = np.arange(12.0).reshape(2, 3, 2)
-        merged = ad.reshape(ad.transpose(t(heads), 0, 1), (3, 4))
-        np.testing.assert_array_equal(merged.data, np.concatenate(heads, axis=-1))
-
     def test_matmul_rhs_must_be_rank2(self):
         # batched operands, matching or not, and rank-1 ones
         for lhs, rhs in [((2, 4, 5), (2, 5, 3)), ((2, 3, 4, 5), (2, 3, 5, 1)),
@@ -236,8 +227,7 @@ CHECKING_OPS = {
 }
 CHECKING_PRIMITIVES = ("matmul", "add", "mul", "scalar_mul", "mean", "layer_norm",
                        "relu", "sigmoid", "attention")
-ALL_PRIMITIVES = CHECKING_PRIMITIVES + ("transpose", "reshape", "scale_channels",
-                                        "dropout")
+ALL_PRIMITIVES = CHECKING_PRIMITIVES + ("reshape", "scale_channels", "dropout")
 
 
 def _planted_cases():
@@ -398,6 +388,35 @@ class TestAttention:
 
         assert ad.finite_difference_check(f, operands[operand], step=1e-5) < 1e-7
 
+    @pytest.mark.parametrize("operand", range(3), ids=["q", "k", "v"])
+    def test_finite_differences_two_heads(self, operand):
+        rng = np.random.default_rng(9)
+        operands = [t(rng.normal(size=(2, 4, d)), grad=True) for d in (4, 4, 6)]
+        weights = t(rng.normal(size=(2, 4, 6)))
+
+        def f(p):
+            args = operands[:operand] + [p] + operands[operand + 1:]
+            return ad.mean(ad.mul(ad.attention(*args, fill=CAUSAL_FILL, heads=2), weights))
+
+        assert ad.finite_difference_check(f, operands[operand], step=1e-5) < 1e-7
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["unmasked", "causal"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_heads_are_single_head_calls_on_column_blocks(self, dtype, masked):
+        # head i of q, k and v is column block i; the heads' outputs are
+        # concatenated along the features, bit for bit
+        heads, d_k, d_v = 3, 2, 4
+        rng = np.random.default_rng(10)
+        q, k, v = (rng.normal(size=(2, 4, heads * d)).astype(dtype) for d in (d_k, d_k, d_v))
+        fill = CAUSAL_FILL.astype(dtype) if masked else None
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), fill=fill, heads=heads)
+        singles = [ad.attention(Tensor(q[..., i * d_k:(i + 1) * d_k]),
+                                Tensor(k[..., i * d_k:(i + 1) * d_k]),
+                                Tensor(v[..., i * d_v:(i + 1) * d_v]), fill=fill).data
+                   for i in range(heads)]
+        assert out.dtype == dtype
+        assert np.array_equal(out.data, np.concatenate(singles, axis=-1))
+
     def test_masked_key_gets_no_gradient(self):
         rng = np.random.default_rng(6)
         q, k, v = (t(rng.normal(size=(4, 3)), grad=True) for _ in range(3))
@@ -423,6 +442,14 @@ class TestAttention:
     def test_misaligned_operands_rejected(self, shapes):
         with pytest.raises(ShapeError, match="attention"):
             ad.attention(*(t(np.zeros(shape)) for shape in shapes))
+
+    @pytest.mark.parametrize("shapes", [
+        [(3, 4), (5, 4), (5, 3)],
+        [(3, 3), (5, 3), (5, 4)],
+    ], ids=["values", "queries"])
+    def test_width_that_does_not_split_into_heads_rejected(self, shapes):
+        with pytest.raises(ShapeError, match=r"\(2 heads\)"):
+            ad.attention(*(t(np.zeros(shape)) for shape in shapes), heads=2)
 
 
 class TestBackward:
@@ -494,15 +521,6 @@ class TestFiniteDifference:
             return ad.mean(ad.mul(d, d))
 
         assert ad.finite_difference_check(f, x) < 1e-4
-
-    def test_transpose_leading_axes(self):
-        x = t(np.random.default_rng(6).normal(size=(2, 3, 4)), grad=True)
-        weights = t(np.random.default_rng(7).normal(size=(3, 2, 4)))
-
-        def f(p):
-            return ad.mean(ad.mul(ad.transpose(p, 0, 1), weights))
-
-        assert ad.finite_difference_check(f, x, step=1e-5) < 1e-8
 
     def test_bad_step(self):
         with pytest.raises(UsageError):

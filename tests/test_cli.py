@@ -1,4 +1,5 @@
 import argparse
+import errno
 import os
 import subprocess
 import sys
@@ -378,6 +379,38 @@ class TestExitCodes:
         assert err.startswith("data error:") and str(csv) in err
         assert "no vehicle has a full 40-frame 5 Hz window" in err
         assert not (tmp_path / "prep" / "segments.sctn").exists()
+
+    @pytest.mark.parametrize("case, code, what, reason", [
+        pytest.param(case, *rest, id=case) for case, *rest in [
+            ("prepare-missing-data", 2, "track log missing", errno.ENOENT),
+            ("evaluate-missing-data", 2, "tensor container missing", errno.ENOENT),
+            ("missing-config", 1, "config file missing", errno.ENOENT),
+            ("train-data-is-a-directory", 2, "tensor container cannot be opened",
+             errno.EISDIR),
+            ("out-is-a-file", 1, "cannot be the output directory", errno.EEXIST)]])
+    def test_path_that_cannot_be_opened_is_worded(self, tmp_path, small_cfg, capsys, case,
+                                                  code, what, reason):
+        cache, ckpt = untrained_checkpoint(tmp_path, small_cfg)
+        missing, out, config = tmp_path / "missing", tmp_path / "o", small_cfg
+        argv, bad = {
+            "prepare-missing-data": (["prepare", "--data", missing], missing),
+            "evaluate-missing-data": (["evaluate", "--data", missing, "--checkpoint", ckpt],
+                                      missing),
+            "missing-config": (["train", "--data", cache], missing),
+            "train-data-is-a-directory": (["train", "--data", tmp_path], tmp_path),
+            "out-is-a-file": (["train", "--data", cache], out),
+        }[case]
+        if case == "missing-config":
+            config = missing
+        if case == "out-is-a-file":
+            out.write_text("not a directory\n")
+        capsys.readouterr()
+        assert run([*argv, "--config", config, "--out", out]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("usage error:" if code == 1 else "data error:")
+        assert str(bad) in err[0] and f"{what} ({os.strerror(reason)})" in err[0]
+        assert not (out / "config.txt").exists()
 
     def test_missing_cache_is_data_error(self, tmp_path, small_cfg):
         missing = tmp_path / "nope.sctn"

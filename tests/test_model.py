@@ -5,7 +5,7 @@ import pytest
 
 from sctn import autodiff as ad
 from sctn import data as data_mod
-from sctn import blocks, model, optim
+from sctn import blocks, embedding, model, optim
 from sctn.autodiff import finite_difference_check
 from sctn.errors import ConfigError, DataError, UsageError
 from sctn.model import ModelConfig, ModelWeights, Scene, TOY_DIMS
@@ -199,6 +199,22 @@ class TestCachedRollout:
         with pytest.raises(UsageError):  # two new positions after cached ones
             model.decode_step(points, weights, cfg, cache)
         assert cache.length == 2
+
+    def test_buffers_hold_plain_projections(self):
+        # N x T_pred x D per layer, laid out as keys_values returns them
+        cfg, weights = toy_setup(t_pred=4)
+        scene = toy_scene(cfg)
+        cache = model.DecoderCache(model.encode(scene, weights, cfg), weights, cfg)
+        points = np.concatenate([scene.observed(cfg.t_obs)[:, -1:],
+                                 scene.future(cfg.t_obs)[:, :1]], axis=1)
+        for t in (1, 2):
+            model.decode_step(points[:, :t], weights, cfg, cache)
+        shape = (cfg.n_agents, cfg.t_pred, cfg.model_dim)
+        assert [buf.shape for buf in cache.keys + cache.values] == [shape] * 2 * cfg.layers
+        x = embedding.compose_input(points, weights.embed, weights.table, start_t=cfg.t_obs)
+        kv = blocks.keys_values(x, weights.decoder[0]["self_attn"])
+        for buf, projected in zip((cache.keys[0], cache.values[0]), kv):
+            np.testing.assert_allclose(buf[:, :2], projected.data, rtol=0, atol=1e-12)
 
     def test_predict_records_no_graph(self, monkeypatch):
         cfg, weights = toy_setup()
