@@ -15,8 +15,8 @@ layer_norm raise NumericError on a non-finite output (naming it, e.g.
 overflowing residual sum inside layer_norm does too. relu and sigmoid map
 +-inf to finite values, so they check their input. attention checks twice:
 its masked, scaled scores, because softmax gives a -inf score weight 0, and
-its output, which a bad value reaches only through v. reshape,
-scale_channels and dropout are unchecked and leave a bad value to the next op.
+its output, which a bad value reaches only through v. scale_channels and
+dropout are unchecked and leave a bad value to the next op.
 
 attention alone splits ... x T x D projections into heads and merges them.
 """
@@ -131,39 +131,43 @@ def _acc(t, g):
 # primitives
 # ---------------------------------------------------------------------------
 
-def matmul(a, b):
-    """Product of a (... x K, rank >= 2) with a rank-2 weight b (K x M).
+def matmul(a, w, b=None):
+    """The affine map a w + b: a (... x K; a vector is one row) times a
+    rank-2 weight w (K x M), plus an optional length-M bias b.
 
     The leading axes of a fold into rows, so forward and backward are each
-    one GEMM and b's gradient is a single product, not per-batch products
-    summed."""
-    if a.ndim < 2 or b.ndim != 2:
-        raise ShapeError(f"matmul takes a rank >= 2 lhs and a rank-2 rhs, got "
-                         f"{a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
+    one GEMM. b is added in place before the one scan; its gradient is the
+    column sum of the output gradient."""
+    if a.ndim < 1 or w.ndim != 2:
+        raise ShapeError(f"matmul takes a rank >= 1 lhs and a rank-2 rhs, got "
+                         f"{a.shape} @ {w.shape}")
+    if a.shape[-1] != w.shape[0]:
+        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {w.shape}")
+    if b is not None and b.shape != w.shape[1:]:
+        raise ShapeError(f"matmul bias of shape {b.shape} vs weight {w.shape}")
     rows = a.data.reshape(-1, a.shape[-1])
-    out_data = (rows @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
+    out_data = rows @ w.data
+    if b is not None:
+        out_data += b.data
+    out_data = out_data.reshape(a.shape[:-1] + w.shape[1:])
     _require_finite("matmul output", out_data)
-    out = _make(out_data, (a, b))
+    out = _make(out_data, (a, w) if b is None else (a, w, b))
 
     def backward_fn(g):
         g = g.reshape(-1, g.shape[-1])
         if a.requires_grad:
-            _acc(a, (g @ b.data.T).reshape(a.shape))
-        if b.requires_grad:
-            _acc(b, rows.T @ g)
+            _acc(a, (g @ w.data.T).reshape(a.shape))
+        if w.requires_grad:
+            _acc(w, rows.T @ g)
+        if b is not None:
+            _acc(b, g.sum(axis=0))
 
     return _link(out, backward_fn)
 
 
 def add(a, b):
-    """Elementwise sum; a rank-1 rhs broadcasts along the last axis (bias add)."""
-    bias = b.ndim == 1 and a.ndim > 1
-    if bias:
-        if b.shape[0] != a.shape[-1]:
-            raise ShapeError(f"bias length {b.shape[0]} vs last axis {a.shape[-1]}")
-    elif a.shape != b.shape:
+    """Elementwise sum of same-shape tensors."""
+    if a.shape != b.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
     out_data = a.data + b.data
     _require_finite("add output", out_data)
@@ -171,10 +175,7 @@ def add(a, b):
 
     def backward_fn(g):
         _acc(a, g)
-        if bias:
-            _acc(b, g.reshape(-1, b.shape[0]).sum(axis=0))
-        else:
-            _acc(b, g)
+        _acc(b, g)
 
     return _link(out, backward_fn)
 
@@ -233,11 +234,6 @@ def mean(a, axis=None):
         _acc(a, np.broadcast_to(g, a.shape) / count)
 
     return _link(out, backward_fn)
-
-
-def reshape(a, shape):
-    out = _make(a.data.reshape(shape), (a,))
-    return _link(out, lambda g: _acc(a, g.reshape(a.shape)))
 
 
 def scale_channels(a, s):

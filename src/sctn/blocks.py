@@ -63,8 +63,8 @@ def multi_head_attention(x, weights, kv, fill=None):
 
 def feed_forward(x, weights):
     """max(0, x w1 + b1) w2 + b2, applied position-wise."""
-    hidden = ad.relu(ad.add(ad.matmul(x, weights.w1), weights.b1))
-    return ad.add(ad.matmul(hidden, weights.w2), weights.b2)
+    hidden = ad.relu(ad.matmul(x, weights.w1, weights.b1))
+    return ad.matmul(hidden, weights.w2, weights.b2)
 
 
 def residual_sublayer(x, sublayer_output, gain, bias, dropout_rate=0.0,

@@ -230,6 +230,12 @@ def load_model_checkpoint(path):
         raise DataError(f"{sidecar}: {exc}") from None
     state = load_tensors(path)
     try:
-        return ModelWeights(config, state)
+        weights = ModelWeights(config, state)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
+    # the test adam_step applies to every parameter it writes
+    for name, t in weights.registry.items():
+        if not math.isfinite(np.vdot(t.data, t.data)):
+            raise DataError(f"{path}: parameter {name} is not finite or its squared "
+                            f"norm overflows {t.dtype}")
+    return weights

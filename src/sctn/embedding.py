@@ -44,6 +44,6 @@ def compose_input(points, weights, table, start_t=0):
     """
     points = np.asarray(points, dtype=table.dtype)
     n, t = points.shape[0], points.shape[1]
-    emb = ad.add(ad.matmul(Tensor(points), weights.mlp_w), weights.mlp_b)
+    emb = ad.matmul(Tensor(points), weights.mlp_w, weights.mlp_b)
     pos = table[start_t:start_t + t]
     return ad.add(emb, Tensor(np.broadcast_to(pos, (n, t, pos.shape[1]))))

@@ -309,7 +309,7 @@ def _decode_sequence(dec_points, z, weights, config, training=False, rng=None):
 
 
 def _output_head(x, dec_points, weights, config):
-    return ad.add(ad.add(ad.matmul(x, weights.out_w), weights.out_b),
+    return ad.add(ad.matmul(x, weights.out_w, weights.out_b),
                   Tensor(np.asarray(dec_points, dtype=config.np_dtype)))
 
 

@@ -37,11 +37,8 @@ def squeeze(e):
 
 
 def excite(z, weights):
-    """sigmoid(w2 relu(w1 z)); every output lies strictly in (0, 1)."""
-    row = ad.reshape(z, (1, z.shape[0]))
-    hidden = ad.relu(ad.matmul(row, weights.w1))
-    s = ad.sigmoid(ad.matmul(hidden, weights.w2))
-    return ad.reshape(s, (z.shape[0],))
+    """sigmoid(w2 relu(w1 z)) of the N-vector z, each entry strictly in (0, 1)."""
+    return ad.sigmoid(ad.matmul(ad.relu(ad.matmul(z, weights.w1)), weights.w2))
 
 
 def se_pass(e, weights, channel_mask):

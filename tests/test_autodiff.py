@@ -40,7 +40,7 @@ class TestPrimitives:
             ad.matmul(t([[np.inf]]), t([[1.0]]))
 
     def test_bias_broadcast(self):
-        out = ad.add(t(np.zeros((2, 3))), t([1.0, 2.0, 3.0]))
+        out = ad.matmul(t(np.zeros((2, 4))), t(np.ones((4, 3))), t([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(out.data, [[1, 2, 3], [1, 2, 3]])
 
     def test_add_shape_mismatch(self):
@@ -48,11 +48,14 @@ class TestPrimitives:
             ad.add(t(np.zeros((2, 3))), t(np.zeros((3, 2))))
 
     def test_matmul_rhs_must_be_rank2(self):
-        # batched operands, matching or not, and rank-1 ones
+        # batched operands, matching or not, a rank-1 rhs and a rank-0 lhs
         for lhs, rhs in [((2, 4, 5), (2, 5, 3)), ((2, 3, 4, 5), (2, 3, 5, 1)),
-                         ((4, 5), (5,)), ((5,), (5, 3))]:
+                         ((4, 5), (5,)), ((), (5, 3))]:
             with pytest.raises(ShapeError, match=re.escape(f"{lhs} @ {rhs}")):
                 ad.matmul(t(np.ones(lhs)), t(np.ones(rhs)))
+        # a rank-1 lhs is one row
+        np.testing.assert_array_equal(ad.matmul(t(np.ones(5)), t(np.ones((5, 3)))).data,
+                                      [5.0, 5.0, 5.0])
 
     def test_rank_limit(self):
         with pytest.raises(ShapeError):
@@ -112,6 +115,49 @@ class TestSharedWeightMatmul:
         with_grad, without = (a, b) if grad_a else (b, a)
         assert with_grad.grad is not None and with_grad.grad.shape == with_grad.shape
         assert without.grad is None
+
+
+LHS_RANKS = pytest.mark.parametrize("lead", [(), (4,), (2, 3)],
+                                    ids=["rank1", "rank2", "rank3"])
+
+
+class TestAffine:
+    """matmul(a, w, b) is a w + b with the leading axes of a folded into rows;
+    a rank-1 a is one row."""
+
+    @LHS_RANKS
+    def test_forward_and_gradients_equal_numpy(self, lead):
+        gen = np.random.default_rng(23)
+        a_np, w_np, b_np = (gen.normal(size=s) for s in (lead + (5,), (5, 6), (6,)))
+        g_np = gen.normal(size=lead + (6,))
+        a, w, b = (t(v, grad=True) for v in (a_np, w_np, b_np))
+        out = ad.matmul(a, w, b)
+        rows = a_np.reshape(-1, 5)
+        np.testing.assert_array_equal(out.data, (rows @ w_np + b_np).reshape(lead + (6,)))
+        ad.backward(ad.mean(ad.mul(out, t(g_np))))
+        # the output gradient that mean and mul hand back
+        g = ((np.ones(g_np.shape) / g_np.size) * g_np).reshape(-1, 6)
+        np.testing.assert_array_equal(a.grad, (g @ w_np.T).reshape(a_np.shape))
+        np.testing.assert_array_equal(w.grad, rows.T @ g)
+        np.testing.assert_array_equal(b.grad, g.sum(axis=0))
+
+    @LHS_RANKS
+    def test_finite_differences(self, lead):
+        gen = np.random.default_rng(24)
+        operands = [t(gen.normal(size=s), grad=True) for s in (lead + (4,), (4, 3), (3,))]
+
+        def square_mean(i, p):
+            out = ad.matmul(*operands[:i], p, *operands[i + 1:])
+            return ad.mean(ad.mul(out, out))
+
+        for i, p in enumerate(operands):
+            assert ad.finite_difference_check(
+                lambda q, i=i: square_mean(i, q), p, step=1e-5) < 1e-7
+
+    @pytest.mark.parametrize("shape", [(4,), (2,), (1, 3)])
+    def test_bias_must_match_weight_width(self, shape):
+        with pytest.raises(ShapeError, match="bias"):
+            ad.matmul(t(np.ones((2, 4))), t(np.ones((4, 3))), t(np.ones(shape)))
 
 
 def softmax_via_attention(scores):
@@ -211,7 +257,9 @@ CAUSAL_FILL = np.where(np.tril(np.ones((4, 4), dtype=bool)), 0.0, -1e9)
 CHECKING_OPS = {
     "matmul": (ad.matmul, [(2, 3), (3, 4)]),
     "add": (ad.add, [(2, 3), (2, 3)]),
-    "add bias": (ad.add, [(2, 3), (3,)]),
+    # matmul's bias, the bias add that add's broadcast branch once did; the
+    # lhs and the bias come first, so they keep their arg0 and arg1 ids
+    "add bias": (lambda a, b, w: ad.matmul(a, w, b), [(2, 3), (4,), (3, 4)]),
     "mul": (ad.mul, [(2, 3), (2, 3)]),
     "scalar_mul": (lambda a: ad.scalar_mul(a, 2.0), [(2, 3)]),
     "scalar_mul by zero": (lambda a: ad.scalar_mul(a, 0.0), [(2, 3)]),
@@ -227,7 +275,7 @@ CHECKING_OPS = {
 }
 CHECKING_PRIMITIVES = ("matmul", "add", "mul", "scalar_mul", "mean", "layer_norm",
                        "relu", "sigmoid", "attention")
-ALL_PRIMITIVES = CHECKING_PRIMITIVES + ("reshape", "scale_channels", "dropout")
+ALL_PRIMITIVES = CHECKING_PRIMITIVES + ("scale_channels", "dropout")
 
 
 def _planted_cases():
@@ -274,6 +322,15 @@ class TestFinitenessPolicy:
         big = Tensor(np.full((2, 2), 1e20, dtype=np.float32))
         with pytest.raises(NumericError, match="matmul output"):
             ad.matmul(big, big)
+
+    def test_threaded_gemm_overflow_numpy_does_not_report_names_matmul(self):
+        # a multi-threaded OpenBLAS GEMM returns this inf without a warning,
+        # and np.errstate(over="raise") does not raise: only the scan sees it
+        a = np.ones((2000, 512), dtype=np.float32)
+        a[-1] *= np.float32(1e37)
+        b = Tensor(np.ones((512, 512), dtype=np.float32))
+        with pytest.raises(NumericError, match="non-finite values in matmul output"):
+            ad.matmul(Tensor(a), b)
 
     @pytest.mark.parametrize("op", ["add", "mul", "scalar_mul"])
     def test_float32_elementwise_overflow_names_op(self, op):

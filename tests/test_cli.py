@@ -131,8 +131,8 @@ class TestPipeline:
                                                       monkeypatch):
         matmul = ad.matmul
 
-        def planted(a, b):
-            out = matmul(a, b)
+        def planted(a, w, b=None):
+            out = matmul(a, w, b)
             backward_fn = out._backward_fn
             if backward_fn is not None:
                 def off_by_one_percent():
@@ -417,6 +417,22 @@ class TestExitCodes:
         missing.write_bytes(b"garbage payload")
         assert run(["train", "--config", small_cfg, "--data", missing,
                     "--out", tmp_path / "t"]) == 2
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_non_finite_checkpoint_weight_is_data_error(self, tmp_path, small_cfg, capsys,
+                                                        command):
+        cache, ckpt = untrained_checkpoint(tmp_path, small_cfg)
+        state = checkpoint.load_tensors(ckpt)
+        state["dec0/ffn/w2"][0, 0] = np.nan
+        checkpoint.save_tensors(ckpt, state)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run([command, "--config", small_cfg, "--data", cache,
+                    "--checkpoint", ckpt, "--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert f"{ckpt}: parameter dec0/ffn/w2 is not finite" in err[0]
+        assert not (out / "config.txt").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_training_is_numeric_error(self, tmp_path, small_cfg, capsys):
